@@ -74,5 +74,5 @@ int main() {
       "the proportional controller converges at least as fast as the "
       "step controller",
       reach_time[prop] > 0 && reach_time[prop] <= reach_time[baseline]);
-  return 0;
+  return ShapeExitCode();
 }

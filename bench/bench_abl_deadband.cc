@@ -76,5 +76,5 @@ int main() {
   ShapeCheck(
       "the paper's band does not sacrifice throughput for that freshness",
       throughput[2] >= 0.95 * std::max(throughput[0], throughput[1]));
-  return 0;
+  return ShapeExitCode();
 }

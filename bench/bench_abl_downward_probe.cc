@@ -53,5 +53,5 @@ int main() {
       "without the probe, the fraction stays stuck high (stale-read "
       "exposure for no gain)",
       late_fraction[1] >= late_fraction[0] + 0.3);
-  return 0;
+  return ShapeExitCode();
 }

@@ -67,5 +67,5 @@ int main() {
       "Decongestant's throughput stays in the same league as the "
       "unbounded secondary client",
       sl[1] >= 0.7 * sl[2]);
-  return 0;
+  return ShapeExitCode();
 }

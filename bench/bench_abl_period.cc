@@ -59,5 +59,5 @@ int main() {
   ShapeCheck("every period length eventually shifts load to secondaries",
              reaction[0] > 0 && reaction[1] > 0 && reaction[2] > 0 &&
                  reaction[3] > 0);
-  return 0;
+  return ShapeExitCode();
 }

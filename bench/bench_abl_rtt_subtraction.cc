@@ -68,5 +68,5 @@ int main() {
   ShapeCheck(
       "the RTT-corrected ratio is near 1 at balanced light load",
       avg_ratio[0] > 0.7 && avg_ratio[0] < 1.4);
-  return 0;
+  return ShapeExitCode();
 }

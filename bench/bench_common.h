@@ -7,7 +7,7 @@
 //    fewer closed-loop clients). Every bench prints both numbers.
 //  * Each bench prints the same series/rows the corresponding figure
 //    plots, plus a SHAPE CHECK block restating the qualitative claim being
-//    reproduced.
+//    reproduced, and exits nonzero when any of those checks fails.
 
 #ifndef DCG_BENCH_BENCH_COMMON_H_
 #define DCG_BENCH_BENCH_COMMON_H_
@@ -97,8 +97,23 @@ inline void PrintSweepTable(const char* system,
 
 inline const char* PassFail(bool ok) { return ok ? "PASS" : "FAIL"; }
 
+/// Shape checks that have failed so far in this process.
+inline int& ShapeFailures() {
+  static int failures = 0;
+  return failures;
+}
+
 inline void ShapeCheck(const char* claim, bool ok) {
   std::printf("SHAPE CHECK [%s]: %s\n", PassFail(ok), claim);
+  if (!ok) ++ShapeFailures();
+}
+
+/// A bench's exit status: nonzero when any shape check failed, so a
+/// scripted run of the bench gates on the claims it reproduces.
+inline int ShapeExitCode() {
+  if (ShapeFailures() == 0) return 0;
+  std::printf("\n%d SHAPE CHECK(s) FAILED\n", ShapeFailures());
+  return 1;
 }
 
 }  // namespace dcg::bench

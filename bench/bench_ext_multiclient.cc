@@ -139,5 +139,5 @@ int main() {
       "centralised one (within 10%)",
       combined_reads_per_sec >= 0.9 * central_reads_per_sec &&
           combined_reads_per_sec <= 1.1 * central_reads_per_sec);
-  return 0;
+  return ShapeExitCode();
 }

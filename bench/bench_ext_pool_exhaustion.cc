@@ -127,5 +127,5 @@ int main() {
   ShapeCheck("per-period CSV pool columns are populated "
              "(checkout wait recorded in the tail)",
              primary_tail.checkout_wait_ms > 0);
-  return 0;
+  return ShapeExitCode();
 }

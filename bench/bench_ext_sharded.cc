@@ -139,5 +139,5 @@ int main() {
   ShapeCheck(
       "and is at least competitive with all-secondary on this skew",
       dcg_run.reads >= 0.9 * secondary_run.reads);
-  return 0;
+  return ShapeExitCode();
 }

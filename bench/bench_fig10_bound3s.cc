@@ -49,5 +49,5 @@ int main() {
           over_bound_plus1 == 0);
   ShapeCheck("the gate fired repeatedly under the tight bound",
              experiment.balancer()->stale_zero_events() >= 1);
-  return 0;
+  return ShapeExitCode();
 }

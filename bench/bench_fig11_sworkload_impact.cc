@@ -45,5 +45,5 @@ int main() {
       "attaching the S workload changes Stock Level throughput by only a "
       "few percent at every client count",
       worst_delta < 8.0);
-  return 0;
+  return ShapeExitCode();
 }

@@ -74,5 +74,5 @@ int main() {
                      phase2[1].p80_read_latency_ms + 0.5 &&
                  phase2[0].p80_read_latency_ms <=
                      phase2[2].p80_read_latency_ms + 0.5);
-  return 0;
+  return ShapeExitCode();
 }

@@ -82,5 +82,5 @@ int main() {
       "after the drop the fraction descends to the 10 % floor (keeps "
       "probing the secondaries)",
       fraction_end <= 0.2);
-  return 0;
+  return ShapeExitCode();
 }

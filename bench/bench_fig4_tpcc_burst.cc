@@ -101,5 +101,5 @@ int main() {
       "after the burst most Stock Levels return to the now-uncongested "
       "primary",
       post_secondary_pct <= 40.0);
-  return 0;
+  return ShapeExitCode();
 }

@@ -62,5 +62,5 @@ int main() {
       at(0, 10).secondary_percent <= 50.0 &&
           dcg_hi.secondary_percent >= 55.0 &&
           dcg_hi.secondary_percent <= 85.0);
-  return 0;
+  return ShapeExitCode();
 }

@@ -59,5 +59,5 @@ int main() {
       sec.max_staleness_s >= dcg.max_staleness_s - 0.5);
   ShapeCheck("light load (20 clients): the three systems are close",
              grid[2][0].read_throughput < 1.4 * grid[0][0].read_throughput);
-  return 0;
+  return ShapeExitCode();
 }

@@ -60,5 +60,5 @@ int main() {
       "Decongestant client-observed staleness respects the 10 s bound "
       "(within reporting granularity)",
       dcg.max_staleness_s <= 12.0);
-  return 0;
+  return ShapeExitCode();
 }

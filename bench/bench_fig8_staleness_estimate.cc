@@ -74,5 +74,5 @@ int main() {
   ShapeCheck("the estimate tracks the observed staleness (same order)",
              max_estimate >= max_observed - 1.5 &&
                  max_estimate <= max_observed + 15.0);
-  return 0;
+  return ShapeExitCode();
 }

@@ -66,5 +66,5 @@ int main() {
              experiment.balancer()->stale_zero_events() > 0);
   ShapeCheck("staleness follows a sawtooth (multiple rise episodes)",
              sawtooth_rises >= 3);
-  return 0;
+  return ShapeExitCode();
 }

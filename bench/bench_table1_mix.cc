@@ -66,5 +66,5 @@ int main() {
 
   ShapeCheck("measured mixes match Table 1 within sampling error (±2 pp)",
              all_ok);
-  return 0;
+  return ShapeExitCode();
 }

@@ -49,8 +49,7 @@ class ReplicaNode {
   uint64_t entries_applied() const { return entries_applied_; }
 
   /// The member's current role, scoped to the term it was assumed in.
-  /// Mirrored from the replica set's topology state (the coordinator in
-  /// raft-election mode, the global primary index otherwise) every time a
+  /// Mirrored from the member's election coordinator every time a
   /// transition lands at this node — a read-only view for tests and logs.
   MemberRole role() const { return role_; }
   uint64_t role_term() const { return role_term_; }

@@ -43,7 +43,6 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
                                        std::move(envelope));
                                  });
   }
-  known_last_applied_.resize(nodes_.size());
   alive_.assign(nodes_.size(), true);
   pulling_.assign(nodes_.size(), false);
   heartbeating_.assign(nodes_.size(), false);
@@ -57,35 +56,23 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
   needs_resync_.assign(nodes_.size(), false);
   // The seed topology is writable from t=0: node 0 leads term 1.
   RecordWritable(term_, primary_index_);
-  if (params_.raft_elections) {
-    // Coordinator RNG streams fork only in raft mode, *after* the
-    // per-node forks above — the disabled path's draw sequence (and
-    // hence every pre-election determinism golden) is untouched.
-    TopologyConfig tc;
-    tc.node_count = node_count();
-    tc.election_timeout = params_.election_timeout;
-    tc.timeout_jitter_fraction = params_.election_jitter_fraction;
-    tc.heartbeat_interval = params_.heartbeat_interval;
-    tc.priority_takeover_delay = params_.priority_takeover_delay;
-    tc.priority_takeover_gap = params_.priority_takeover_gap;
-    tc.priorities = params_.node_priorities;
-    for (int i = 0; i < node_count(); ++i) {
-      coords_.push_back(std::make_unique<TopologyCoordinator>(
-          i, tc, rng_.Fork(), /*initial_leader=*/primary_index_,
-          loop_->Now()));
-    }
+  TopologyConfig tc;
+  tc.node_count = node_count();
+  tc.election_timeout = params_.election_timeout;
+  tc.timeout_jitter_fraction = params_.election_jitter_fraction;
+  tc.heartbeat_interval = params_.heartbeat_interval;
+  tc.priority_takeover_delay = params_.priority_takeover_delay;
+  tc.priority_takeover_gap = params_.priority_takeover_gap;
+  tc.priorities = params_.node_priorities;
+  for (int i = 0; i < node_count(); ++i) {
+    coords_.push_back(std::make_unique<TopologyCoordinator>(
+        i, tc, rng_.Fork(), /*initial_leader=*/primary_index_, loop_->Now()));
   }
   for (int i = 0; i < node_count(); ++i) SyncNodeView(i);
 }
 
 void ReplicaSet::SyncNodeView(int idx) {
-  if (params_.raft_elections) {
-    node(idx).set_role_view(coords_[idx]->role(), coords_[idx]->term());
-    return;
-  }
-  node(idx).set_role_view(idx == primary_index_ ? MemberRole::kPrimary
-                                                : MemberRole::kSecondary,
-                          term_);
+  node(idx).set_role_view(coords_[idx]->role(), coords_[idx]->term());
 }
 
 void ReplicaSet::RecordWritable(uint64_t term, int node) {
@@ -131,33 +118,26 @@ void ReplicaSet::RetirePull(int idx) {
 void ReplicaSet::Start() {
   for (auto& node : nodes_) node->server().Start();
   for (int i = 0; i < node_count(); ++i) {
-    if (IsActiveSecondary(i)) StartSecondaryLoops(i);
+    if (IsActiveSecondary(i)) StartPull(i);
   }
-  if (params_.raft_elections) {
-    for (int i = 0; i < node_count(); ++i) {
-      if (!alive_[i]) continue;
-      if (!heartbeating_[i]) {
-        heartbeating_[i] = true;
-        RaftHeartbeatLoop(i);
-      }
-      ArmElectionTimer(i);
-    }
+  for (int i = 0; i < node_count(); ++i) {
+    if (!alive_[i]) continue;
+    StartHeartbeats(i);
+    ArmElectionTimer(i);
   }
 }
 
-void ReplicaSet::StartSecondaryLoops(int idx) {
-  if (!pulling_[idx]) {
-    pulling_[idx] = true;
-    ArmPullDeadline(idx);
-    SendGetMore(idx, pull_epoch_[idx]);
-  }
-  // Raft mode runs one all-member heartbeat loop instead (started in
-  // Start()/RestartNode); it carries the progress reports and the pull
-  // watchdog this legacy loop provides.
-  if (!params_.raft_elections && !heartbeating_[idx]) {
-    heartbeating_[idx] = true;
-    HeartbeatLoop(idx);
-  }
+void ReplicaSet::StartPull(int idx) {
+  if (pulling_[idx]) return;
+  pulling_[idx] = true;
+  ArmPullDeadline(idx);
+  SendGetMore(idx, pull_epoch_[idx]);
+}
+
+void ReplicaSet::StartHeartbeats(int idx) {
+  if (heartbeating_[idx]) return;
+  heartbeating_[idx] = true;
+  HeartbeatLoop(idx);
 }
 
 void ReplicaSet::KillNode(int idx) {
@@ -165,60 +145,14 @@ void ReplicaSet::KillNode(int idx) {
   if (!alive_[idx]) return;
   alive_[idx] = false;
   RetirePull(idx);
-  if (params_.raft_elections) {
-    // Retire the member's election-check and takeover chains; survivors'
-    // own randomized timeouts notice the silence and campaign.
-    ++election_timer_epoch_[idx];
-    election_timer_armed_[idx] = false;
-    ++takeover_epoch_[idx];
-    if (idx == primary_index_) FailMajorityWaiters();
-    return;
-  }
-  if (idx == primary_index_) {
-    // Acknowledgements in flight are lost with the primary; their outcome
-    // is uncertain to the client.
-    FailMajorityWaiters();
-    loop_->ScheduleAfter(params_.election_timeout, [this] { ElectPrimary(); });
-  }
-}
-
-void ReplicaSet::ElectPrimary() {
-  if (alive_[primary_index_]) return;  // stale timer: already resolved
-  int winner = -1;
-  for (int i = 0; i < node_count(); ++i) {
-    if (!alive_[i]) continue;
-    if (winner < 0 ||
-        node(winner).last_applied() < node(i).last_applied()) {
-      winner = i;
-    }
-  }
-  DCG_CHECK_MSG(winner >= 0, "no surviving member to elect");
-  // Writes the dead primary acknowledged at w:1 but never shipped are
-  // rolled back: the replicated history ends at the winner's optime.
-  const uint64_t survived_seq = node(winner).last_applied().seq;
-  oplog_.TruncateAfter(survived_seq);
-  next_seq_ = survived_seq + 1;
-  // The retryable-write transaction table is replicated with the data it
-  // describes: records for writes rolled back here vanish with them, so a
-  // client retry re-executes the write instead of trusting a stale ack.
-  for (auto it = retry_records_.begin(); it != retry_records_.end();) {
-    if (it->second.committed && it->second.operation_time.seq > survived_seq) {
-      it = retry_records_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // The winner stops pulling; any continuation of its secondary-era chain
-  // still in flight must not run once it is primary.
-  RetirePull(winner);
-  primary_index_ = winner;
-  ++term_;
-  ++elections_;
-  RecordWritable(term_, winner);
-  for (int i = 0; i < node_count(); ++i) {
-    if (IsActiveSecondary(i)) StartSecondaryLoops(i);
-    SyncNodeView(i);
-  }
+  // Retire the member's election-check and takeover chains; survivors'
+  // own randomized timeouts notice the silence and campaign.
+  ++election_timer_epoch_[idx];
+  election_timer_armed_[idx] = false;
+  ++takeover_epoch_[idx];
+  // Acknowledgements in flight are lost with the primary; their outcome
+  // is uncertain to the client.
+  if (idx == primary_index_) FailMajorityWaiters();
 }
 
 void ReplicaSet::RestartNode(int idx) {
@@ -229,19 +163,14 @@ void ReplicaSet::RestartNode(int idx) {
   // the oplog stream from the primary's current position.
   node(idx).db().ResetFrom(primary().db());
   node(idx).ResetForResync(primary().last_applied());
-  known_last_applied_[idx] = primary().last_applied();
+  coords_[primary_index_]->SetPeerLastApplied(idx, primary().last_applied());
   alive_[idx] = true;
   needs_resync_[idx] = false;  // the clone is consistent by construction
-  if (params_.raft_elections) {
-    coords_[idx]->Rejoin(loop_->Now());
-    SyncNodeView(idx);
-    if (!heartbeating_[idx]) {
-      heartbeating_[idx] = true;
-      RaftHeartbeatLoop(idx);
-    }
-    ArmElectionTimer(idx);
-  }
-  StartSecondaryLoops(idx);
+  coords_[idx]->Rejoin(loop_->Now());
+  SyncNodeView(idx);
+  StartHeartbeats(idx);
+  ArmElectionTimer(idx);
+  StartPull(idx);
 }
 
 void ReplicaSet::Read(int idx, server::OpClass c, ReadBody body) {
@@ -429,7 +358,7 @@ proto::ServerStatusReply ReplicaSet::ServerStatusSnapshot() {
   reply.primary_last_applied = primary().last_applied();
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary_index_ || !alive_[i]) continue;
-    reply.secondary_last_applied.push_back(known_last_applied_[i]);
+    reply.secondary_last_applied.push_back(KnownLastApplied(i));
     reply.secondary_nodes.push_back(i);
   }
   reply.generated_at = loop_->Now();
@@ -471,7 +400,7 @@ sim::Duration ReplicaSet::KnownMaxLag() const {
   sim::Duration max_lag = 0;
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary_index_ || !alive_[i]) continue;
-    const OpTime& sec = known_last_applied_[i];
+    const OpTime& sec = KnownLastApplied(i);
     if (sec.seq >= p.seq) continue;
     max_lag = std::max(max_lag, p.wall - sec.wall);
   }
@@ -482,7 +411,7 @@ int ReplicaSet::KnownReplicationCount(uint64_t seq) const {
   int count = primary().last_applied().seq >= seq ? 1 : 0;
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary_index_ || !alive_[i]) continue;
-    if (known_last_applied_[i].seq >= seq) ++count;
+    if (KnownLastApplied(i).seq >= seq) ++count;
   }
   return count;
 }
@@ -606,28 +535,9 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
                          });
     return;
   }
-  ReplicaNode& sec = node(secondary_idx);
-  // Application cost scales with batch size; one lognormal factor models
-  // run-to-run variance without sampling per entry. The apply-throttle
-  // fault stretches it further. With batched_oplog_apply the batch is
-  // charged like a server envelope — one base cost plus a discounted
-  // per-entry increment — which tightens replication lag under write
-  // pressure; the same SampleService draw keeps both paths' RNG streams
-  // identical (the flag only changes arithmetic, not draw order).
-  const sim::Duration per_entry =
-      sec.server().SampleService(server::OpClass::kOplogApply);
-  const server::ServiceModel& model = sec.server().params().service;
-  const double entry_fraction =
-      params_.batched_oplog_apply ? model.envelope_op_fraction : 1.0;
-  const sim::Duration batch_base =
-      params_.batched_oplog_apply ? model.envelope_base : 0;
-  const auto cost = static_cast<sim::Duration>(
-      static_cast<double>(batch_base) +
-      static_cast<double>(per_entry) * entry_fraction *
-          static_cast<double>(batch.size()) *
-          apply_throttle_[secondary_idx]);
+  const sim::Duration cost = SampleApplyCost(secondary_idx, batch.size());
   ArmPullDeadline(secondary_idx, cost + kPullQueueGrace);
-  sec.server().ExecuteWithCost(
+  node(secondary_idx).server().ExecuteWithCost(
       cost, [this, secondary_idx, epoch, batch = std::move(batch)] {
         if (epoch != pull_epoch_[secondary_idx]) return;
         if (!IsActiveSecondary(secondary_idx)) {
@@ -639,6 +549,14 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
         // More data may already be waiting: pull again immediately.
         SendGetMore(secondary_idx, epoch);
       });
+}
+
+sim::Duration ReplicaSet::SampleApplyCost(int idx, size_t entries) {
+  const sim::Duration per_entry =
+      node(idx).server().SampleService(server::OpClass::kOplogApply);
+  return static_cast<sim::Duration>(static_cast<double>(per_entry) *
+                                    static_cast<double>(entries) *
+                                    apply_throttle_[idx]);
 }
 
 void ReplicaSet::CheckMajorityWaiters() {
@@ -661,38 +579,7 @@ void ReplicaSet::FailMajorityWaiters() {
   for (MajorityWaiter& waiter : failed) waiter.ack(false);
 }
 
-void ReplicaSet::HeartbeatLoop(int secondary_idx) {
-  if (!IsActiveSecondary(secondary_idx)) {
-    heartbeating_[secondary_idx] = false;  // loop retires
-    return;
-  }
-  // The heartbeat doubles as the pull watchdog: a chain whose deadline
-  // has passed lost a message on the network — restart it under a new
-  // epoch so stragglers of the old chain retire harmlessly.
-  if (pulling_[secondary_idx] &&
-      loop_->Now() > pull_deadline_[secondary_idx]) {
-    ++pull_restarts_;
-    ++pull_epoch_[secondary_idx];
-    SendGetMore(secondary_idx, pull_epoch_[secondary_idx]);
-  }
-  OpTime progress = node(secondary_idx).last_applied();
-  if (const sim::Duration skew = report_skew_[secondary_idx]; skew != 0) {
-    // A skewed clock distorts the wall component of the *report* only;
-    // sequence numbers (and hence replication correctness) are immune.
-    progress.wall = std::max<sim::Time>(0, progress.wall + skew);
-  }
-  network_->Send(node(secondary_idx).host(), primary().host(),
-                 [this, secondary_idx, progress] {
-                   OpTime& known = known_last_applied_[secondary_idx];
-                   if (known < progress) known = progress;
-                   CheckMajorityWaiters();
-                 });
-  loop_->ScheduleAfter(params_.heartbeat_interval, [this, secondary_idx] {
-    HeartbeatLoop(secondary_idx);
-  });
-}
-
-// --- raft-election machinery -------------------------------------------
+// --- election machinery ------------------------------------------------
 
 void ReplicaSet::ResyncStep(int idx, uint64_t epoch) {
   if (epoch != pull_epoch_[idx]) return;
@@ -730,7 +617,8 @@ void ReplicaSet::ResyncStep(int idx, uint64_t epoch) {
       // current primary wholesale, rejoin the stream from its position.
       node(idx).db().ResetFrom(primary().db());
       node(idx).ResetForResync(primary().last_applied());
-      known_last_applied_[idx] = primary().last_applied();
+      coords_[primary_index_]->SetPeerLastApplied(idx,
+                                                  primary().last_applied());
       needs_resync_[idx] = false;
       ++rollback_resyncs_;
       ArmPullDeadline(idx);
@@ -771,7 +659,7 @@ void ReplicaSet::ApplyAction(int idx, const TopologyAction& action) {
     // A member that stopped believing itself primary resumes consuming
     // the stream if it is, in data-plane terms, an active secondary
     // whose pull was parked (e.g. a deposed catch-up winner).
-    if (IsActiveSecondary(idx) && !pulling_[idx]) StartSecondaryLoops(idx);
+    if (IsActiveSecondary(idx)) StartPull(idx);
   }
   if (action.start_dry_run || action.start_election) {
     BroadcastVoteRequests(idx);
@@ -794,9 +682,8 @@ void ReplicaSet::BroadcastVoteRequests(int idx) {
       // A real vote carrying a higher term can depose the voter itself
       // (a leader granting a takeover vote steps down right here).
       if (role_before == MemberRole::kPrimary &&
-          coords_[j]->role() != role_before && IsActiveSecondary(j) &&
-          !pulling_[j]) {
-        StartSecondaryLoops(j);
+          coords_[j]->role() != role_before && IsActiveSecondary(j)) {
+        StartPull(j);
       }
       network_->Send(node(j).host(), node(req.candidate).host(),
                      [this, resp] {
@@ -819,13 +706,14 @@ void ReplicaSet::ScheduleTakeoverCheck(int idx, sim::Time at) {
   });
 }
 
-void ReplicaSet::RaftHeartbeatLoop(int idx) {
+void ReplicaSet::HeartbeatLoop(int idx) {
   if (!alive_[idx]) {
     heartbeating_[idx] = false;  // loop retires; RestartNode re-arms
     return;
   }
-  // Pull watchdog (same duty the legacy heartbeat loop carries): a pull
-  // chain with no progress past its deadline lost a message — restart it.
+  // The heartbeat doubles as the pull watchdog: a chain whose deadline
+  // has passed lost a message on the network — restart it under a new
+  // epoch so stragglers of the old chain retire harmlessly.
   if (IsActiveSecondary(idx) && pulling_[idx] &&
       loop_->Now() > pull_deadline_[idx]) {
     ++pull_restarts_;
@@ -836,33 +724,33 @@ void ReplicaSet::RaftHeartbeatLoop(int idx) {
   hb.from = idx;
   hb.term = coords_[idx]->term();
   hb.leader = coords_[idx]->leader_for_hello();
-  hb.last_applied = node(idx).last_applied();
+  // A member an election rolled back holds entries of a truncated history
+  // until it re-clones; it reports no progress meanwhile, so peers never
+  // count those entries as replicated (MongoDB orders optimes by term
+  // first, so a dead term's entries never compare as ahead).
+  if (!needs_resync_[idx]) hb.last_applied = node(idx).last_applied();
   if (const sim::Duration skew = report_skew_[idx]; skew != 0) {
-    // A skewed clock distorts the wall component of the *report* only.
+    // A skewed clock distorts the wall component of the *report* only;
+    // sequence numbers (and hence replication correctness) are immune.
     hb.last_applied.wall = std::max<sim::Time>(0, hb.last_applied.wall + skew);
   }
   for (int j = 0; j < node_count(); ++j) {
     if (j == idx) continue;
     network_->Send(node(idx).host(), node(j).host(),
-                   [this, j, hb] { HandleRaftHeartbeat(j, hb); });
+                   [this, j, hb] { HandleHeartbeat(j, hb); });
   }
   loop_->ScheduleAfter(params_.heartbeat_interval,
-                       [this, idx] { RaftHeartbeatLoop(idx); });
+                       [this, idx] { HeartbeatLoop(idx); });
 }
 
-void ReplicaSet::HandleRaftHeartbeat(int to, const HeartbeatView& hb) {
+void ReplicaSet::HandleHeartbeat(int to, const HeartbeatView& hb) {
   if (!alive_[to]) return;
-  // The data-plane leader's progress knowledge (flow control, w:majority
-  // acks) rides the same heartbeats the election layer uses.
-  if (to == primary_index_ && hb.from != primary_index_ &&
-      IsActiveSecondary(hb.from)) {
-    OpTime& known = known_last_applied_[hb.from];
-    if (known < hb.last_applied) known = hb.last_applied;
-    CheckMajorityWaiters();
-  }
-  ApplyAction(to,
-              coords_[to]->OnHeartbeat(hb, node(to).last_applied(),
-                                       loop_->Now()));
+  const TopologyAction action =
+      coords_[to]->OnHeartbeat(hb, node(to).last_applied(), loop_->Now());
+  // The data-plane leader's progress table (flow control, w:majority
+  // acks, serverStatus) is its coordinator's, fed by these heartbeats.
+  if (to == primary_index_) CheckMajorityWaiters();
+  ApplyAction(to, action);
 }
 
 void ReplicaSet::BeginStepUp(int winner) {
@@ -906,11 +794,7 @@ void ReplicaSet::CatchUpStep(int winner, uint64_t new_term, uint64_t target,
     FinishStepUp(winner, new_term);
     return;
   }
-  const sim::Duration per_entry =
-      node(winner).server().SampleService(server::OpClass::kOplogApply);
-  const auto cost = static_cast<sim::Duration>(
-      static_cast<double>(per_entry) * static_cast<double>(batch.size()) *
-      apply_throttle_[winner]);
+  const sim::Duration cost = SampleApplyCost(winner, batch.size());
   node(winner).server().ExecuteWithCost(
       cost, [this, winner, new_term, target, deadline, epoch,
              batch = std::move(batch)] {
@@ -933,16 +817,23 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
   if (new_term <= term_) return;  // a later leader already took over
   // The old leader's outstanding w:majority acks die with its term.
   FailMajorityWaiters();
-  const uint64_t survived_seq = node(winner).last_applied().seq;
+  const OpTime survived = node(winner).last_applied();
+  const uint64_t survived_seq = survived.seq;
   // Members whose applied history extends past the survivor point hold
   // entries this rollback removes: they must re-clone before pulling.
   for (int i = 0; i < node_count(); ++i) {
     if (i == winner) continue;
     if (node(i).last_applied().seq > survived_seq) needs_resync_[i] = true;
   }
+  // Progress anyone heard past the survivor point is gone with it. The
+  // winner keeps every other report as heard, so a deposed primary reads
+  // exactly as stale as its last heartbeat.
+  for (auto& coord : coords_) coord->ForgetProgressAfter(survived);
   oplog_.TruncateAfter(survived_seq);
   next_seq_ = survived_seq + 1;
-  // Purge transaction records for rolled-back writes (see ElectPrimary).
+  // The retryable-write transaction table is replicated with the data it
+  // describes: records for writes rolled back here vanish with them, so a
+  // client retry re-executes the write instead of trusting a stale ack.
   for (auto it = retry_records_.begin(); it != retry_records_.end();) {
     if (it->second.committed && it->second.operation_time.seq > survived_seq) {
       it = retry_records_.erase(it);
@@ -962,7 +853,7 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
       // truncation would silently diverge) and restart against the new
       // leader under a fresh epoch.
       RetirePull(i);
-      StartSecondaryLoops(i);
+      StartPull(i);
     }
     SyncNodeView(i);
   }

@@ -34,9 +34,10 @@ struct ReplicaSetParams {
   /// (models the awaitData tailable-cursor timeout).
   sim::Duration getmore_idle_poll = sim::Millis(50);
 
-  /// How often secondaries report their lastAppliedOpTime to the primary.
-  /// This lag is why the primary's view of secondary progress — and hence
-  /// Decongestant's staleness estimate — is conservative (§2.3).
+  /// How often every member heartbeats its peers with its term, leader
+  /// belief and lastAppliedOpTime. This lag is why the primary's view of
+  /// secondary progress — and hence Decongestant's staleness estimate — is
+  /// conservative (§2.3).
   sim::Duration heartbeat_interval = sim::Millis(500);
 
   /// Flow control (§4.5): when the max lag known to the primary exceeds
@@ -58,21 +59,12 @@ struct ReplicaSetParams {
 
   size_t oplog_capacity = 2'000'000;
 
-  /// How long after a primary failure the surviving members elect a new
-  /// primary. With raft_elections off this is a single collapsed delay
-  /// (timeout + vote rounds); with it on, it is the per-member base
-  /// election timeout the randomized deadlines build on.
+  /// Per-member base election timeout: a member that hears no leader for
+  /// this long (plus jitter) campaigns. Every member runs a
+  /// TopologyCoordinator with randomized heartbeat-driven election
+  /// deadlines, pre-vote freshness checks, real vote rounds, stepdown on
+  /// higher terms, and post-win catch-up.
   sim::Duration election_timeout = sim::Seconds(5);
-
-  /// Raft-style elections: every member runs a TopologyCoordinator with
-  /// randomized heartbeat-driven election deadlines, pre-vote freshness
-  /// checks, real vote rounds, stepdown on higher terms, and post-win
-  /// catch-up. Off by default — the legacy omniscient election (kill the
-  /// primary, freshest survivor wins after a fixed delay) is kept
-  /// bit-identical so pre-election determinism goldens replay unchanged:
-  /// the disabled path forks no extra RNG streams and schedules no
-  /// extra events.
-  bool raft_elections = false;
 
   /// Uniform jitter added to each election deadline, as a fraction of
   /// election_timeout (de-synchronizes would-be candidates).
@@ -90,18 +82,8 @@ struct ReplicaSetParams {
   sim::Duration priority_takeover_gap = sim::Seconds(2);
 
   /// Election priority per node index (empty = all 1.0; 0 = never
-  /// campaigns). Only meaningful with raft_elections.
+  /// campaigns).
   std::vector<double> node_priorities;
-
-  /// Batched oplog application (server-side mirror of driver command
-  /// batching): a secondary applies a whole getMore batch for one
-  /// envelope_base charge plus envelope_op_fraction × the per-entry cost
-  /// × batch size, instead of full per-entry cost × batch size. The
-  /// amortisation tightens replication lag — and hence the staleness
-  /// signal the Read Balancer consumes — under write pressure. Off by
-  /// default: the disabled path draws the same RNG sequence and runs the
-  /// exact legacy cost formula, so determinism goldens replay unchanged.
-  bool batched_oplog_apply = false;
 
   /// Pull-chain watchdog: when a getMore request or its reply batch is
   /// lost on the network (packet loss, partition), the secondary notices
@@ -154,17 +136,14 @@ class ReplicaSet : public server::CommandBackend {
   // --- server::CommandBackend (dispatched into by CommandServices) ---
 
   bool NodeAlive(int idx) const override { return alive_[idx]; }
-  /// Per-node topology belief: under raft elections each member answers
-  /// from its own coordinator (so a deposed primary keeps claiming the
-  /// role until it hears the new term — exactly the stale-view window
-  /// the driver's term adoption exists for); otherwise the global view.
+  /// Per-node topology belief: each member answers from its own
+  /// coordinator, so a deposed primary keeps claiming the role until it
+  /// hears the new term — exactly the stale-view window the driver's term
+  /// adoption exists for.
   int NodeBelievedPrimary(int idx) const override {
-    return params_.raft_elections ? coords_[idx]->leader_for_hello()
-                                  : primary_index_;
+    return coords_[idx]->leader_for_hello();
   }
-  uint64_t NodeTerm(int idx) const override {
-    return params_.raft_elections ? coords_[idx]->term() : term_;
-  }
+  uint64_t NodeTerm(int idx) const override { return coords_[idx]->term(); }
   OpTime NodeLastApplied(int idx) const override {
     return nodes_[idx]->last_applied();
   }
@@ -193,11 +172,12 @@ class ReplicaSet : public server::CommandBackend {
 
   bool IsAlive(int idx) const { return alive_[idx]; }
 
-  /// Crashes a node. Killing the primary schedules an election after
-  /// `election_timeout`; the most up-to-date surviving member wins, the
-  /// oplog is truncated to its last applied optime (w:1 writes beyond it
-  /// are lost — MongoDB rollback semantics), and outstanding w:majority
-  /// acknowledgements fail as "uncertain".
+  /// Crashes a node. Killing the primary fails its outstanding w:majority
+  /// acknowledgements as "uncertain"; the survivors' election timers
+  /// notice the silence and elect a new primary, whose step-up truncates
+  /// the oplog to its last applied optime (w:1 writes beyond it are lost
+  /// — MongoDB rollback semantics). With no majority alive nobody is
+  /// elected and the set stays without a writable primary.
   ///
   /// Crash granularity: operations already *in service* on the node when
   /// it dies still complete (their responses race the failure — clients
@@ -207,28 +187,23 @@ class ReplicaSet : public server::CommandBackend {
   void KillNode(int idx);
 
   /// Restarts a crashed node: it initial-syncs (clones) from the current
-  /// primary and rejoins as a secondary.
+  /// primary and rejoins as a secondary. The primary must be alive.
   void RestartNode(int idx);
 
   /// Election epoch (increments on every successful election).
   uint64_t term() const { return term_; }
   uint64_t elections() const { return elections_; }
 
-  // --- raft-election surface (meaningful when params.raft_elections) ---
-
-  bool raft_elections() const { return params_.raft_elections; }
-
-  /// One member's election state machine (raft mode only).
+  /// One member's election state machine.
   const TopologyCoordinator& coordinator(int idx) const {
     return *coords_[idx];
   }
 
   /// True when the member currently leading the data plane is alive and
-  /// (in raft mode) has completed step-up — i.e. a write sent to the
-  /// right node would commit.
+  /// has completed step-up — i.e. a write sent to the right node would
+  /// commit.
   bool HasWritablePrimary() const {
-    if (!alive_[primary_index_]) return false;
-    return !params_.raft_elections || coords_[primary_index_]->writable();
+    return alive_[primary_index_] && coords_[primary_index_]->writable();
   }
 
   /// Times a primary stepped down (higher term seen, or majority
@@ -315,6 +290,14 @@ class ReplicaSet : public server::CommandBackend {
   }
   uint64_t getmore_stalls() const { return getmore_stalls_; }
 
+  /// Node `idx`'s progress as last heard by the primary through
+  /// heartbeats (or set by a clone) — the lastAppliedOpTime serverStatus
+  /// reports for it. The primary's coordinator keeps the one progress
+  /// table: flow control, w:majority acks and serverStatus all read it.
+  const OpTime& KnownLastApplied(int idx) const {
+    return coords_[primary_index_]->peer_last_applied(idx);
+  }
+
   /// True max lag as *known by the primary* (flow control's signal).
   sim::Duration KnownMaxLag() const;
 
@@ -342,12 +325,14 @@ class ReplicaSet : public server::CommandBackend {
   /// Fails all outstanding w:majority waiters (primary crash: outcome
   /// uncertain to the client).
   void FailMajorityWaiters();
-  void ElectPrimary();
   /// True when node `idx` should run replication consumer loops.
   bool IsActiveSecondary(int idx) const {
     return alive_[idx] && idx != primary_index_;
   }
-  void StartSecondaryLoops(int idx);
+  /// Start node `idx`'s oplog pull chain / heartbeat chain unless one is
+  /// already running.
+  void StartPull(int idx);
+  void StartHeartbeats(int idx);
   // Pull-chain steps carry the epoch they were started under; a step whose
   // epoch no longer matches pull_epoch_[idx] belongs to a superseded chain
   // (watchdog restart, node kill) and retires without acting.
@@ -356,15 +341,17 @@ class ReplicaSet : public server::CommandBackend {
   void ServeGetMore(int secondary_idx, uint64_t epoch);
   void HandleBatchAtSecondary(int secondary_idx, std::vector<OplogEntry> batch,
                               uint64_t epoch);
-  void HeartbeatLoop(int secondary_idx);
+  /// Samples the cost of applying `entries` oplog entries on node `idx`:
+  /// one lognormal per-entry draw (run-to-run variance without sampling
+  /// per entry), scaled by the batch size and the apply-throttle fault.
+  sim::Duration SampleApplyCost(int idx, size_t entries);
   /// Declares the pull chain healthy until now + extra + pull_retry_timeout.
   void ArmPullDeadline(int idx, sim::Duration extra = 0);
   /// Kills node `idx`'s pull chain outright (all in-flight continuations
   /// retire via the epoch bump).
   void RetirePull(int idx);
 
-  // --- raft-election machinery (all no-ops when raft_elections is off:
-  // coords_ stays empty, none of these are scheduled) ---
+  // --- election machinery ---
 
   /// Rollback via refetch: a diverged member re-clones the current
   /// primary (one network round trip) before rejoining the pull stream.
@@ -378,20 +365,21 @@ class ReplicaSet : public server::CommandBackend {
   void BroadcastVoteRequests(int idx);
   void ScheduleTakeoverCheck(int idx, sim::Time at);
   /// All-to-all liveness/term/progress heartbeats, one loop per live
-  /// member (subsumes the legacy secondary→primary progress reports and
-  /// the pull watchdog in raft mode).
-  void RaftHeartbeatLoop(int idx);
-  void HandleRaftHeartbeat(int to, const HeartbeatView& hb);
+  /// member; the loop doubles as the member's pull watchdog.
+  void HeartbeatLoop(int idx);
+  void HandleHeartbeat(int to, const HeartbeatView& hb);
   /// Election won: the winner catches up to the freshest recently-heard
   /// peer optime before the data plane swaps to it (MongoDB's post-win
   /// catchup phase), then FinishStepUp truncates rolled-back history,
   /// moves primary_index_/term_, and opens the new term for writes.
+  /// The winner's coordinator already holds the heartbeat-fed progress
+  /// of every peer, so the deposed primary keeps its last heard optime.
   void BeginStepUp(int winner);
   void CatchUpStep(int winner, uint64_t new_term, uint64_t target,
                    sim::Time deadline, uint64_t epoch);
   void FinishStepUp(int winner, uint64_t new_term);
-  /// Mirrors coordinator (or legacy global) role/term into the node's
-  /// read-only role view.
+  /// Mirrors the coordinator's role/term into the node's read-only role
+  /// view.
   void SyncNodeView(int idx);
   void RecordWritable(uint64_t term, int node);
   void RecordCommit(uint64_t term, int node);
@@ -404,13 +392,11 @@ class ReplicaSet : public server::CommandBackend {
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
   Oplog oplog_;
   uint64_t next_seq_ = 1;
-  /// known_last_applied_[idx] = node idx's progress as last heard by the
-  /// primary via heartbeats (the primary's own slot is unused).
-  std::vector<OpTime> known_last_applied_;
   std::vector<bool> alive_;
   // One pull chain / heartbeat chain per node at a time; the flags retire
-  // a chain when its node stops being an active secondary and prevent
-  // elections from spawning duplicates.
+  // a pull chain when its node stops being an active secondary (a
+  // heartbeat chain when its node dies) and prevent elections and
+  // restarts from spawning duplicates.
   std::vector<bool> pulling_;
   std::vector<bool> heartbeating_;
   // Watchdog state: the live chain's epoch, and the deadline by which it
@@ -425,9 +411,9 @@ class ReplicaSet : public server::CommandBackend {
   uint64_t term_ = 1;
   uint64_t elections_ = 0;
 
-  // --- raft-election state (empty / unused when the flag is off) ---
+  // --- election state ---
 
-  /// One election state machine per member (raft mode only).
+  /// One election state machine per member.
   std::vector<std::unique_ptr<TopologyCoordinator>> coords_;
   /// Election-check chains: one per live member, epoch-retired on kill.
   std::vector<uint64_t> election_timer_epoch_;

@@ -47,8 +47,8 @@ TopologyCoordinator::TopologyCoordinator(int self, TopologyConfig config,
   peer_last_applied_.assign(static_cast<size_t>(config_.node_count), OpTime{});
   leader_ = initial_leader;
   if (initial_leader == self_) {
-    // The seed primary starts already stepped up (term 1, writable) —
-    // exactly the steady state the legacy model begins in.
+    // The seed primary starts already stepped up (term 1, writable): the
+    // steady state every run begins in.
     role_ = MemberRole::kPrimary;
     writable_ = true;
   }
@@ -343,6 +343,12 @@ VoteRequest TopologyCoordinator::CampaignRequest(
   req.dry_run = campaign_dry_run_;
   req.last_applied = my_last_applied;
   return req;
+}
+
+void TopologyCoordinator::ForgetProgressAfter(const OpTime& survivor) {
+  for (OpTime& known : peer_last_applied_) {
+    if (survivor < known) known = survivor;
+  }
 }
 
 uint64_t TopologyCoordinator::FreshestPeerSeq(sim::Time now,

@@ -207,6 +207,24 @@ class TopologyCoordinator {
   /// The request the owner should broadcast for the active campaign.
   VoteRequest CampaignRequest(const OpTime& my_last_applied) const;
 
+  /// Peer `node`'s oplog position as last reported by its heartbeats
+  /// (zero OpTime until one arrives). On the data-plane primary this is
+  /// the replica set's progress table (serverStatus, flow control,
+  /// w:majority acks).
+  const OpTime& peer_last_applied(int node) const {
+    return peer_last_applied_[static_cast<size_t>(node)];
+  }
+
+  /// Overrides a peer's known progress (heartbeats only ever raise it):
+  /// the peer just cloned a member and now holds exactly `optime`.
+  void SetPeerLastApplied(int node, const OpTime& optime) {
+    peer_last_applied_[static_cast<size_t>(node)] = optime;
+  }
+
+  /// An election truncated the oplog at `survivor`: progress heard past
+  /// it belonged to the discarded history, so it caps at `survivor`.
+  void ForgetProgressAfter(const OpTime& survivor);
+
   /// Freshest oplog seq among peers heard within `window` — the
   /// step-up catch-up target (unreachable members' extra entries roll
   /// back instead of being waited for).

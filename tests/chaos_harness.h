@@ -29,14 +29,12 @@ struct ChaosOptions {
   /// retry/deadline invariants.
   driver::ClientOptions client_options;
 
-  /// Replication knobs for the run. Set `repl.raft_elections` to run the
-  /// schedule against real Raft-style elections; the harness then also
-  /// checks the election-safety invariants (9-10 below).
+  /// Replication knobs for the run (election timeouts, priorities, ...).
   repl::ReplicaSetParams repl;
 
   /// When non-empty, the run's Balancer decision log is written here as
-  /// CSV (the CI election-chaos job points this at its artifact dir so a
-  /// failing run ships the decisions that led up to it).
+  /// CSV (CI points this at its artifact dir so a failing run ships the
+  /// decisions that led up to it).
   std::string decisions_csv_path;
 
   /// Slack added to StaleBound for the per-read freshness invariant. The
@@ -148,7 +146,7 @@ struct ChaosReport {
 ///      shares its parent's trace id, and hangs off the right kind of
 ///      parent (checkout/wire/server under an attempt or hedge arm,
 ///      attempt/hedge arms under the op span).
-///   9. Election safety (raft mode): at every sample instant no two alive
+///   9. Election safety: at every sample instant no two alive
 ///      members are writable primaries of the same term, and over the
 ///      whole run each term has at most one member that became writable
 ///      and at most one member that committed writes (the ReplicaSet's
@@ -260,27 +258,25 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     if (truth_over_bound_at >= 0 && fraction_zero_at < 0 && fraction == 0.0) {
       fraction_zero_at = loop.Now();
     }
-    // Invariant 9 (raft): never two concurrently writable primaries *in
-    // the same term*. (A deposed primary legitimately stays writable in
-    // its old term until it notices the majority moved on — Raft's
-    // guarantee is per-term, enforced by the commit guard.)
-    if (rs.raft_elections()) {
-      for (int i = 0; i < rs.node_count(); ++i) {
-        if (!rs.IsAlive(i) || !rs.coordinator(i).writable()) continue;
-        for (int j = i + 1; j < rs.node_count(); ++j) {
-          if (!rs.IsAlive(j) || !rs.coordinator(j).writable()) continue;
-          if (rs.coordinator(i).term() == rs.coordinator(j).term() &&
-              writable_primary_violations++ == 0) {
-            char buf[140];
-            std::snprintf(buf, sizeof(buf),
-                          "election: nodes %d and %d both writable in "
-                          "term %llu at t=%.3fs",
-                          i, j,
-                          static_cast<unsigned long long>(
-                              rs.coordinator(i).term()),
-                          sim::ToSeconds(loop.Now()));
-            violation(buf);
-          }
+    // Invariant 9: never two concurrently writable primaries *in the
+    // same term*. (A deposed primary legitimately stays writable in its
+    // old term until it notices the majority moved on — Raft's guarantee
+    // is per-term, enforced by the commit guard.)
+    for (int i = 0; i < rs.node_count(); ++i) {
+      if (!rs.IsAlive(i) || !rs.coordinator(i).writable()) continue;
+      for (int j = i + 1; j < rs.node_count(); ++j) {
+        if (!rs.IsAlive(j) || !rs.coordinator(j).writable()) continue;
+        if (rs.coordinator(i).term() == rs.coordinator(j).term() &&
+            writable_primary_violations++ == 0) {
+          char buf[140];
+          std::snprintf(buf, sizeof(buf),
+                        "election: nodes %d and %d both writable in "
+                        "term %llu at t=%.3fs",
+                        i, j,
+                        static_cast<unsigned long long>(
+                            rs.coordinator(i).term()),
+                        sim::ToSeconds(loop.Now()));
+          violation(buf);
         }
       }
     }
@@ -411,19 +407,17 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     }
   }
 
-  // --- Invariant 9: per-term election-safety ledgers (raft mode). ---
-  if (rs.raft_elections()) {
-    for (const auto& [term, members] : rs.writable_by_term()) {
-      if (members.size() > 1) {
-        violation("election: term " + std::to_string(term) + " saw " +
-                  std::to_string(members.size()) + " writable primaries");
-      }
+  // --- Invariant 9: per-term election-safety ledgers. ---
+  for (const auto& [term, members] : rs.writable_by_term()) {
+    if (members.size() > 1) {
+      violation("election: term " + std::to_string(term) + " saw " +
+                std::to_string(members.size()) + " writable primaries");
     }
-    for (const auto& [term, members] : rs.commits_by_term()) {
-      if (members.size() > 1) {
-        violation("election: term " + std::to_string(term) + " saw " +
-                  std::to_string(members.size()) + " committing members");
-      }
+  }
+  for (const auto& [term, members] : rs.commits_by_term()) {
+    if (members.size() > 1) {
+      violation("election: term " + std::to_string(term) + " saw " +
+                std::to_string(members.size()) + " committing members");
     }
   }
 

@@ -31,9 +31,11 @@ FaultEvent Event(FaultType type, double start_s, double end_s,
 
 // Schedule 1 — the headline scenario: both secondaries partitioned away
 // from the primary for 60 s. Their data freezes while the primary keeps
-// committing, so true staleness climbs 1 s/s past StaleBound; the
-// balancer must zero the fraction within one control period, never serve
-// a read staler than bound + grace, and rebalance after the heal.
+// committing; once they, the majority, elect a new primary, the deposed
+// one freezes instead. Either way true staleness climbs 1 s/s past
+// StaleBound; the balancer must zero the fraction within one control
+// period, never serve a read staler than bound + grace, and rebalance
+// after the heal.
 TEST(ChaosTest, FullSecondaryPartitionForcesFractionToZero) {
   ChaosOptions options;
   options.seed = 1001;

@@ -75,17 +75,18 @@ uint64_t TraceHash(const std::string& s) {
   return h;
 }
 
-// Golden fingerprints captured after the wire-protocol command layer
-// landed: drivers now speak typed commands (find/write/hello/ping) over
-// the network, with hello-based topology discovery and command-layer RTT
-// probes, so the message traffic — and therefore the trace — differs
-// from the pre-command-layer goldens by design. Perf-only changes (the
+// Golden fingerprints re-captured when Raft-style elections became the
+// only election model: every member heartbeats every peer (where each
+// secondary used to report to the primary alone) and every member's
+// election coordinator forks its own RNG stream, so message traffic and
+// RNG order — and therefore the trace — differ from the earlier goldens
+// by design. Perf-only changes (the
 // slab event loop, compiled doc::Path, top-k sorts) must NOT move these:
 // (time, seq) firing order and query semantics are part of the contract.
 // If an intentional semantic change moves them, re-capture with the
 // printed values; do NOT update them for a perf-only change.
-constexpr uint64_t kGoldenHealthyTrace = 15816859704616948799ull;
-constexpr uint64_t kGoldenFaultTrace = 2929023567320043130ull;
+constexpr uint64_t kGoldenHealthyTrace = 8556994743531683174ull;
+constexpr uint64_t kGoldenFaultTrace = 4939852485725844544ull;
 
 TEST(DeterminismTest, TraceMatchesGoldenFingerprint) {
   const uint64_t h = TraceHash(RunTrace(SmallConfig(42)));
@@ -142,7 +143,8 @@ TEST(DeterminismTest, SameSeedSameTraceUnderFaults) {
 }
 
 // The connection-pool layer at default settings must be invisible: the
-// golden-fingerprint tests above prove that (they pre-date the pool).
+// golden fingerprints above were first captured before the pool existed
+// and replayed unchanged when it landed.
 // With the pool *constrained* — queueing, establishment costs, wait-queue
 // timeouts, a pool_clear fault — runs must still be bit-identical per
 // seed: the pool draws no randomness and schedules deterministically.
@@ -170,7 +172,6 @@ TEST(DeterminismTest, SameSeedSameTraceWithConstrainedPool) {
 TEST(DeterminismTest, SameSeedSameTraceWithRaftElections) {
   auto config = SmallConfig(42);
   config.run_s_workload = false;
-  config.repl.raft_elections = true;
   config.repl.election_timeout = sim::Seconds(3);
   std::string error;
   ASSERT_TRUE(fault::ParseFaultSpec("crash@25:node=0;restart@45:node=0",
@@ -187,26 +188,10 @@ TEST(DeterminismTest, SameSeedSameTraceWithRaftElections) {
   EXPECT_GE(probe.replica_set().stepdowns(), 0u);
 }
 
-// The raft code path must be completely inert when disabled: the golden
-// fingerprints above were captured before the TopologyCoordinator
-// existed, so their continued match is the real regression. This spells
-// the contract out against an explicit raft_elections=false config in
-// case the default ever flips.
-TEST(DeterminismTest, ElectionsDisabledReplayMatchesGolden) {
-  auto config = SmallConfig(42);
-  config.repl.raft_elections = false;
-  const uint64_t h = TraceHash(RunTrace(config));
-  if (kGoldenHealthyTrace == 0) {
-    GTEST_SKIP() << "golden hash not yet recorded";
-  }
-  EXPECT_EQ(h, kGoldenHealthyTrace);
-}
-
 // Same contract for command batching: with batching_enabled=false the
 // driver's send path must schedule no extra events and draw no
-// randomness, so traces recorded before the envelope layer existed keep
-// replaying bit-identically. Spelled out against an explicit false in
-// case the default ever flips.
+// randomness, so the default-config golden replays bit-identically.
+// Spelled out against an explicit false in case the default ever flips.
 TEST(DeterminismTest, BatchingDisabledReplayMatchesGolden) {
   auto config = SmallConfig(42);
   config.client_options.batching_enabled = false;
@@ -287,9 +272,11 @@ std::string ShardedRunTrace(const exp::ExperimentConfig& config) {
   return trace.str();
 }
 
-// Captured when the sharded mode landed. Same contract as the unsharded
-// goldens: re-capture only for an intentional semantic change.
-constexpr uint64_t kGoldenShardedTrace = 7522357553552555326ull;
+// Captured when the sharded mode landed and re-captured with the
+// unsharded goldens when Raft-style elections became the only election
+// model. Same contract: re-capture only for an intentional semantic
+// change.
+constexpr uint64_t kGoldenShardedTrace = 11574858861400872710ull;
 
 TEST(DeterminismTest, ShardedTraceMatchesGoldenFingerprint) {
   const uint64_t h = TraceHash(ShardedRunTrace(ShardedSmallConfig(42)));

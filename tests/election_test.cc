@@ -387,6 +387,33 @@ TEST(TopologyCoordinatorTest, RejoinKeepsPersistedTermAndClearsLeader) {
       << "peer liveness is not durable";
 }
 
+// The heartbeat-fed progress table is the primary's serverStatus source:
+// heartbeats only raise an entry, a clone sets it outright, and a
+// rollback caps every entry at the survivor point.
+TEST(TopologyCoordinatorTest, PeerProgressTableRaisesSetsAndTruncates) {
+  TopologyCoordinator c = Follower(0);
+  HeartbeatView hb;
+  hb.term = 1;
+  hb.from = 1;
+  hb.last_applied = At(20);
+  c.OnHeartbeat(hb, At(5), sim::Seconds(1));
+  hb.from = 2;
+  hb.last_applied = At(8);
+  c.OnHeartbeat(hb, At(5), sim::Seconds(1));
+  hb.last_applied = At(6);  // a reordered, older report
+  c.OnHeartbeat(hb, At(5), sim::Seconds(2));
+  EXPECT_EQ(c.peer_last_applied(1).seq, 20u);
+  EXPECT_EQ(c.peer_last_applied(2).seq, 8u);
+
+  c.ForgetProgressAfter(At(12));
+  EXPECT_EQ(c.peer_last_applied(1).seq, 12u);
+  EXPECT_EQ(c.peer_last_applied(1).wall, At(12).wall);
+  EXPECT_EQ(c.peer_last_applied(2).seq, 8u) << "below the cut: kept";
+
+  c.SetPeerLastApplied(1, At(3));  // re-cloned from an older primary
+  EXPECT_EQ(c.peer_last_applied(1).seq, 3u);
+}
+
 // ---------------------------------------------------------------------
 // Layer 2: ReplicaSet integration under partitions.
 // ---------------------------------------------------------------------
@@ -394,7 +421,6 @@ TEST(TopologyCoordinatorTest, RejoinKeepsPersistedTermAndClearsLeader) {
 class RaftSetTest : public ::testing::Test {
  protected:
   void Build(ReplicaSetParams params = {}, uint64_t seed = 2) {
-    params.raft_elections = true;
     params.election_timeout = sim::Seconds(2);
     server::ServerParams server_params;
     server_params.service.sigma = 0.0;
@@ -570,7 +596,6 @@ TEST_P(ElectionPropertyTest, SafetyAndBoundedUnavailability) {
   sim::Rng rng(seed);
   net::Network network(&loop, rng.Fork());
   ReplicaSetParams params;
-  params.raft_elections = true;
   params.election_timeout = sim::Seconds(2);
   server::ServerParams server_params;
   std::vector<net::HostId> hosts;
@@ -678,7 +703,6 @@ TEST(ElectionChaosTest, BalancerResetsAndPoolsClearOnFailover) {
   chaos::ChaosOptions options;
   options.seed = 7;
   options.duration = sim::Seconds(180);
-  options.repl.raft_elections = true;
   options.repl.election_timeout = sim::Seconds(3);
   std::string error;
   // Crash the seed primary mid-run; restart it later as a secondary.
@@ -707,7 +731,6 @@ TEST(ElectionChaosTest, RaftChaosRunsAreDeterministic) {
   chaos::ChaosOptions options;
   options.seed = 11;
   options.duration = sim::Seconds(120);
-  options.repl.raft_elections = true;
   std::string error;
   ASSERT_TRUE(fault::ParseFaultSpec("crash@50:node=0;restart@90:node=0",
                                     &options.schedule, &error))

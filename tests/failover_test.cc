@@ -4,38 +4,35 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "driver/client.h"
+#include "exp/experiment.h"
+#include "fault/fault_injector.h"
 #include "net/network.h"
 #include "repl/replica_set.h"
 
 namespace dcg::repl {
 namespace {
 
-// The whole battery runs twice: against the legacy omniscient election
-// (raft_elections=false) and against the real Raft-style coordinator.
 // Primary indexes are never assumed constant — every scenario reads the
 // currently reported primary and kills/checks relative to it, so the
 // tests keep passing whichever member an election promotes.
-class FailoverTest : public ::testing::TestWithParam<bool> {
+class FailoverTest : public ::testing::Test {
  protected:
   void Build(ReplicaSetParams params = {}) {
     params.election_timeout = sim::Seconds(3);
-    params.raft_elections = GetParam();
     server::ServerParams server_params;
     server_params.service.sigma = 0.0;
     network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
     client_host_ = network_->AddHost("client");
-    std::vector<net::HostId> hosts;
     for (int i = 0; i < 3; ++i) {
-      hosts.push_back(network_->AddHost("n" + std::to_string(i)));
-      network_->SetLink(client_host_, hosts[i], sim::Millis(1), 0);
+      hosts_.push_back(network_->AddHost("n" + std::to_string(i)));
+      network_->SetLink(client_host_, hosts_[i], sim::Millis(1), 0);
     }
     rs_ = std::make_unique<ReplicaSet>(&loop_, sim::Rng(2), network_.get(),
-                                       params, server_params, hosts);
+                                       params, server_params, hosts_);
     driver::ClientOptions options;
     client_ = std::make_unique<driver::MongoClient>(
         &loop_, sim::Rng(3), rs_->command_bus(), client_host_, options);
@@ -64,11 +61,12 @@ class FailoverTest : public ::testing::TestWithParam<bool> {
   sim::EventLoop loop_;
   std::unique_ptr<net::Network> network_;
   net::HostId client_host_;
+  std::vector<net::HostId> hosts_;
   std::unique_ptr<ReplicaSet> rs_;
   std::unique_ptr<driver::MongoClient> client_;
 };
 
-TEST_P(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
+TEST_F(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
   Build();
   for (int64_t i = 0; i < 50; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -91,7 +89,7 @@ TEST_P(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
   EXPECT_TRUE(rs_->HasWritablePrimary());
 }
 
-TEST_P(FailoverTest, WritesContinueAfterFailover) {
+TEST_F(FailoverTest, WritesContinueAfterFailover) {
   Build();
   for (int64_t i = 0; i < 20; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -112,7 +110,7 @@ TEST_P(FailoverTest, WritesContinueAfterFailover) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, MajorityAckedWritesSurviveFailover) {
+TEST_F(FailoverTest, MajorityAckedWritesSurviveFailover) {
   // The classic durability contract: anything acknowledged at w:majority
   // before the crash exists on the new primary after the election.
   Build();
@@ -136,7 +134,7 @@ TEST_P(FailoverTest, MajorityAckedWritesSurviveFailover) {
   }
 }
 
-TEST_P(FailoverTest, UnreplicatedW1WritesRollBack) {
+TEST_F(FailoverTest, UnreplicatedW1WritesRollBack) {
   ReplicaSetParams params;
   // Stall replication so the primary commits w:1 writes the secondaries
   // never see.
@@ -175,7 +173,7 @@ TEST_P(FailoverTest, UnreplicatedW1WritesRollBack) {
   EXPECT_EQ(rs_->oplog().last_seq(), 11u);
 }
 
-TEST_P(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
+TEST_F(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
   Build();
   for (int64_t i = 0; i < 30; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -195,7 +193,7 @@ TEST_P(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
+TEST_F(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
   Build();
   for (int64_t i = 0; i < 20; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -213,7 +211,7 @@ TEST_P(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, DriverRetriesThroughFailover) {
+TEST_F(FailoverTest, DriverRetriesThroughFailover) {
   Build();
   client_->Start();
   loop_.RunUntil(sim::Seconds(1));
@@ -250,7 +248,7 @@ TEST_P(FailoverTest, DriverRetriesThroughFailover) {
   EXPECT_GE(write_completed_at, sim::Seconds(4));  // after the election
 }
 
-TEST_P(FailoverTest, SelectionSkipsDeadSecondaries) {
+TEST_F(FailoverTest, SelectionSkipsDeadSecondaries) {
   Build();
   client_->Start();
   loop_.RunUntil(sim::Seconds(1));
@@ -273,7 +271,7 @@ TEST_P(FailoverTest, SelectionSkipsDeadSecondaries) {
   EXPECT_EQ(client_->SelectNode(driver::ReadPreference::kSecondary), primary);
 }
 
-TEST_P(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
+TEST_F(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
   ReplicaSetParams params;
   params.getmore_block_threshold = sim::Seconds(1);
   Build(params);
@@ -296,28 +294,138 @@ TEST_P(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
   EXPECT_EQ(failures, 5);
 }
 
-INSTANTIATE_TEST_SUITE_P(Elections, FailoverTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Raft" : "Legacy";
-                         });
+// A primary partitioned from both secondaries is deposed while alive.
+// The new primary's serverStatus must report the deposed member at its
+// last heartbeated optime — stale only since the partition, not since
+// t=0 — and after the heal the member must roll back the writes it
+// acknowledged while cut off, re-clone, and converge.
+TEST_F(FailoverTest, DeposedPrimaryReportsLastHeartbeatAndResyncsAfterHeal) {
+  Build();
+  const int old_primary = rs_->primary_index();
+  // A w:1 write every 100 ms, offset 10 ms from the heartbeat instants
+  // (every member heartbeats at multiples of 500 ms), tagged with the
+  // member that committed it.
+  struct Acked {
+    int64_t id;
+    int node;
+    sim::Time issued;
+  };
+  std::vector<Acked> acked;
+  for (int64_t i = 0; i < 220; ++i) {
+    const sim::Time at = sim::Millis(10) + sim::Millis(100) * i;
+    loop_.ScheduleAt(at, [this, i, at, &acked] {
+      const int node = rs_->primary_index();
+      WriteDoc(i, WriteConcern::kW1, [i, node, at, &acked](bool ok) {
+        if (ok) acked.push_back({i, node, at});
+      });
+    });
+  }
+
+  // Cut the primary off 5 ms after the 10 s heartbeat: that heartbeat
+  // carried the write issued at 9.91 s, and every member holds it.
+  const sim::Time cut = sim::Seconds(10) + sim::Millis(5);
+  loop_.RunUntil(cut);
+  const OpTime last_heartbeated = rs_->node(old_primary).last_applied();
+  for (int i = 0; i < rs_->node_count(); ++i) {
+    ASSERT_EQ(rs_->node(i).last_applied().seq, last_heartbeated.seq) << i;
+    if (i != old_primary) network_->BlockPair(hosts_[old_primary], hosts_[i]);
+  }
+
+  loop_.RunUntil(sim::Seconds(16));
+  ASSERT_NE(rs_->primary_index(), old_primary);
+  ASSERT_TRUE(rs_->HasWritablePrimary());
+  ASSERT_TRUE(rs_->IsAlive(old_primary));
+  const proto::ServerStatusReply reply = rs_->ServerStatusSnapshot();
+  bool reported = false;
+  for (size_t k = 0; k < reply.secondary_nodes.size(); ++k) {
+    if (reply.secondary_nodes[k] != old_primary) continue;
+    reported = true;
+    const OpTime& entry = reply.secondary_last_applied[k];
+    EXPECT_EQ(entry.seq, last_heartbeated.seq);
+    EXPECT_EQ(entry.wall, last_heartbeated.wall);
+    const sim::Duration estimate = reply.primary_last_applied.wall - entry.wall;
+    EXPECT_GT(estimate, 0);  // the new primary kept committing
+    EXPECT_LE(estimate, loop_.Now() - cut + sim::Millis(500))
+        << "deposed member reads as stale since before the partition";
+  }
+  EXPECT_TRUE(reported) << "deposed member missing from serverStatus";
+
+  loop_.RunUntil(sim::Seconds(17));
+  for (int i = 0; i < rs_->node_count(); ++i) {
+    if (i != old_primary) {
+      network_->UnblockPair(hosts_[old_primary], hosts_[i]);
+    }
+  }
+  // Until it re-clones, the healed member's heartbeats carry entries of
+  // the rolled-back history; the primary must not take them as progress.
+  int samples_before_resync = 0;
+  while (rs_->needs_resync(old_primary) && loop_.Now() < sim::Seconds(25)) {
+    loop_.RunUntil(loop_.Now() + sim::Millis(100));
+    if (!rs_->needs_resync(old_primary)) break;
+    ++samples_before_resync;
+    EXPECT_EQ(rs_->KnownLastApplied(old_primary).seq, last_heartbeated.seq)
+        << "rolled-back entries counted as replicated at t="
+        << sim::ToSeconds(loop_.Now());
+  }
+  EXPECT_GT(samples_before_resync, 0);
+  loop_.RunUntil(sim::Seconds(25));  // writes stopped at 21.91 s
+
+  EXPECT_FALSE(rs_->needs_resync(old_primary));
+  EXPECT_GE(rs_->rollback_resyncs(), 1u);
+  EXPECT_EQ(rs_->node(old_primary).db().Fingerprint(),
+            rs_->primary().db().Fingerprint());
+  const store::Collection* t = rs_->primary().db().Get("t");
+  ASSERT_NE(t, nullptr);
+  int rolled_back = 0;
+  for (const Acked& a : acked) {
+    const bool present = t->FindById(doc::Value(a.id)) != nullptr;
+    if (a.node == old_primary && a.issued > cut) {
+      EXPECT_FALSE(present) << "write " << a.id << " acked while cut off";
+      ++rolled_back;
+    } else {
+      EXPECT_TRUE(present) << "write " << a.id << " lost";
+    }
+  }
+  EXPECT_GT(rolled_back, 0) << "the deposed primary acknowledged nothing";
+}
+
+// The CLI schedule --faults="crash@20:node=0+1+2" kills every member at
+// once. No majority survives, so nobody is elected: the run must finish
+// degraded, without a writable primary, instead of aborting.
+TEST(FailoverScheduleTest, WholeSetCrashRunsToEndWithoutPrimary) {
+  exp::ExperimentConfig config;
+  config.system = exp::SystemType::kDecongestant;
+  config.kind = exp::WorkloadKind::kYcsb;
+  config.phases = {{0, 10, 0.95}};
+  config.duration = sim::Seconds(40);
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultSpec("crash@20:node=0+1+2", &config.faults,
+                                    &error))
+      << error;
+  exp::Experiment experiment(config);
+  experiment.Run();
+  EXPECT_GE(experiment.loop().Now(), config.duration);
+  EXPECT_FALSE(experiment.rows().empty());
+  const ReplicaSet& rs = experiment.replica_set();
+  for (int i = 0; i < rs.node_count(); ++i) EXPECT_FALSE(rs.IsAlive(i));
+  EXPECT_FALSE(rs.HasWritablePrimary());
+  EXPECT_EQ(rs.elections(), 0u);
+}
 
 // Randomized fault-injection property: under arbitrary interleavings of
 // writes, crashes, elections, and restarts, (a) every write acknowledged
 // at w:majority survives on the final primary, and (b) once the cluster
 // quiesces, all live replicas converge to identical data.
-class FaultInjectionTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+class FaultInjectionTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
-  const uint64_t seed = std::get<0>(GetParam());
+  const uint64_t seed = GetParam();
   sim::EventLoop loop;
   sim::Rng rng(seed);
   net::Network network(&loop, rng.Fork());
   const net::HostId client_host = network.AddHost("client");
   ReplicaSetParams params;
   params.election_timeout = sim::Seconds(2);
-  params.raft_elections = std::get<1>(GetParam());
   server::ServerParams server_params;
   std::vector<net::HostId> hosts;
   for (int i = 0; i < 3; ++i) {
@@ -391,12 +499,9 @@ TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
 
 INSTANTIATE_TEST_SUITE_P(
     Chaos, FaultInjectionTest,
-    ::testing::Combine(::testing::Values(101, 202, 303, 404, 505, 606),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
-      return (std::get<1>(info.param) ? std::string("Raft")
-                                      : std::string("Legacy")) +
-             "Seed" + std::to_string(std::get<0>(info.param));
+    ::testing::Values(101, 202, 303, 404, 505, 606),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "Seed" + std::to_string(info.param);
     });
 
 }  // namespace
