@@ -43,13 +43,17 @@ struct Tail {
 Tail TailStats(const dcg::exp::Experiment& experiment, double from_s) {
   Tail tail;
   int n = 0;
-  for (const auto& row : experiment.rows()) {
+  const std::vector<double> wait_ns =
+      dcg::exp::PeriodValues(experiment, "pool_checkout_wait_ns");
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const dcg::exp::PeriodRow& row = experiment.rows()[r];
     if (dcg::sim::ToSeconds(row.start) < from_s) continue;
     tail.p80_ms += row.P80ReadLatencyMs();
     tail.reads_per_sec += row.ReadThroughput();
     tail.fraction += row.balance_fraction;
     tail.secondary_percent += row.SecondaryPercent();
-    tail.checkout_wait_ms += row.pool_checkout_wait_ms;
+    tail.checkout_wait_ms += dcg::sim::ToMillis(
+        static_cast<dcg::sim::Duration>(wait_ns[r]));
     ++n;
   }
   if (n > 0) {

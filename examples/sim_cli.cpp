@@ -111,6 +111,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/controller.h"
 #include "exp/csv_export.h"
@@ -446,7 +447,11 @@ int main(int argc, char** argv) {
     std::printf("\n%8s %12s %10s %8s %10s %7s  %s\n", "time(s)",
                 tpcc ? "SL txn/s" : "reads/s", "p80(ms)", "sec(%)",
                 "fraction", "est(s)", "balancer");
+    const std::vector<const obs::BalanceDecision*> decisions =
+        exp::PeriodDecisions(experiment);
+    size_t r = 0;
     for (const auto& row : experiment.rows()) {
+      const obs::BalanceDecision* decision = decisions[r++];
       const double throughput =
           tpcc ? static_cast<double>(row.stock_level) /
                      sim::ToSeconds(row.end - row.start)
@@ -454,10 +459,10 @@ int main(int argc, char** argv) {
       // One-line balancer summary: "0.40→0.50 latency_ratio_up", or "-"
       // when no control tick fell inside the period.
       char balancer_col[64] = "-";
-      if (row.balance_decided) {
-        std::snprintf(balancer_col, sizeof(balancer_col),
-                      "%.2f→%.2f %s", row.balance_from, row.balance_to,
-                      std::string(obs::ToString(row.balance_reason)).c_str());
+      if (decision != nullptr) {
+        std::snprintf(balancer_col, sizeof(balancer_col), "%.2f→%.2f %s",
+                      decision->from_fraction, decision->to_fraction,
+                      std::string(obs::ToString(decision->reason)).c_str());
       }
       std::printf("%8.0f %12.0f %10.2f %8.1f %10.2f %7lld  %s\n",
                   sim::ToSeconds(row.start), throughput,
@@ -573,15 +578,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(engine->evaluations()),
                 engine->firing_count(),
                 static_cast<unsigned long long>(engine->events().size()));
+    const auto shard_col = [](int shard) {
+      return shard >= 0 ? " shard=" + std::to_string(shard) : std::string();
+    };
     for (const auto& tracker : engine->trackers()) {
-      char shard_col[24] = "";
-      if (tracker->shard() >= 0) {
-        std::snprintf(shard_col, sizeof(shard_col), " shard=%d",
-                      tracker->shard());
-      }
       std::printf("  %s%s: sli=%.4f burn=%.2f",
                   std::string(tracker->spec().display_name()).c_str(),
-                  shard_col, tracker->last_sli(), tracker->last_burn());
+                  shard_col(tracker->shard()).c_str(), tracker->last_sli(),
+                  tracker->last_burn());
       for (size_t r = 0; r < tracker->rule_count(); ++r) {
         std::printf(" %s=%s",
                     std::string(obs::ToString(tracker->rule(r).severity))
@@ -591,13 +595,9 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
     for (const obs::SloEvent& e : engine->events()) {
-      char shard_col[24] = "";
-      if (e.shard >= 0) {
-        std::snprintf(shard_col, sizeof(shard_col), " shard=%d", e.shard);
-      }
       std::printf(
           "  alert t=%6.0fs %s%s %s %s burn=%.2f/%.2f sli=%.4f\n",
-          sim::ToSeconds(e.at), e.slo.c_str(), shard_col,
+          sim::ToSeconds(e.at), e.slo.c_str(), shard_col(e.shard).c_str(),
           std::string(obs::ToString(e.severity)).c_str(),
           std::string(obs::ToString(e.transition)).c_str(), e.burn_long,
           e.burn_short, e.sli);

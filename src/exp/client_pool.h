@@ -26,13 +26,8 @@ class ClientPool {
   /// Sets the number of concurrently running clients.
   void SetTarget(int n);
 
-  int target() const { return target_; }
   int running() const { return running_count_; }
   uint64_t ops_completed() const { return ops_completed_; }
-
-  /// Swaps the workload driving the pool (takes effect per client as each
-  /// finishes its in-flight operation).
-  void SetWorkload(workload::Workload* workload) { workload_ = workload; }
 
  private:
   void RunClient(int idx);

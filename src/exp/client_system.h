@@ -38,7 +38,6 @@ class ClientSystem {
   driver::MongoClient& client() { return *client_; }
   core::SharedState& state() { return *state_; }
   core::ReadBalancer& balancer() { return *balancer_; }
-  workload::YcsbWorkload& ycsb() { return *ycsb_; }
   ClientPool& pool() { return *pool_; }
 
   uint64_t reads() const { return reads_; }

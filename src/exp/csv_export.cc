@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace dcg::exp {
 namespace {
@@ -52,10 +54,33 @@ bool WritePeriodsCsv(const Experiment& experiment, const std::string& path) {
       "pool_queue_depth,envelopes_sent,ops_batched,served_age_mean_s,"
       "served_age_max_s,balance_from,balance_to,balance_reason,"
       "slo_firing,slo_pending,slo_max_burn,slo_events");
-  for (const PeriodRow& row : experiment.rows()) {
+  // Registry-sourced columns, resolved once per file. Counter differences
+  // are whole numbers and print with %.0f.
+  const auto values = [&experiment](std::string_view name) {
+    return PeriodValues(experiment, name);
+  };
+  const std::vector<double> ops_ok = values("ops_ok");
+  const std::vector<double> ops_timed_out = values("ops_timed_out");
+  const std::vector<double> ops_retried = values("ops_retried");
+  const std::vector<double> hedges_won = values("hedges_won");
+  const std::vector<double> checkout_timeouts =
+      values("pool_checkout_timeouts");
+  const std::vector<double> checkout_wait_ns = values("pool_checkout_wait_ns");
+  const std::vector<double> queue_depth = values("pool_queue_depth");
+  const std::vector<double> envelopes = values("envelopes_sent");
+  const std::vector<double> ops_batched = values("ops_batched");
+  const std::vector<double> slo_firing = values("slo_alerts_firing");
+  const std::vector<double> slo_pending = values("slo_alerts_pending");
+  const std::vector<double> slo_max_burn = values("slo_max_burn");
+  const std::vector<double> slo_events = values("slo_events");
+  const std::vector<const obs::BalanceDecision*> decisions =
+      PeriodDecisions(experiment);
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const PeriodRow& row = experiment.rows()[r];
+    const obs::BalanceDecision* decision = decisions[r];
     csv.Line("%.1f,%llu,%llu,%llu,%.2f,%.3f,%.2f,%.2f,%lld,%llu,%.3f,"
-             "%llu,%llu,%llu,%llu,%llu,%.3f,%d,%llu,%llu,%.4f,%.4f,"
-             "%.2f,%.2f,%s,%d,%d,%.3f,%llu",
+             "%.0f,%.0f,%.0f,%.0f,%.0f,%.3f,%.0f,%.0f,%.0f,%.4f,%.4f,"
+             "%.2f,%.2f,%s,%.0f,%.0f,%.3f,%.0f",
              sim::ToSeconds(row.start),
              static_cast<unsigned long long>(row.reads),
              static_cast<unsigned long long>(row.reads_secondary),
@@ -66,22 +91,18 @@ bool WritePeriodsCsv(const Experiment& experiment, const std::string& path) {
              static_cast<unsigned long long>(row.stock_level),
              row.stock_level_latency.Percentile(80) /
                  static_cast<double>(sim::kMillisecond),
-             static_cast<unsigned long long>(row.ops_ok),
-             static_cast<unsigned long long>(row.ops_timed_out),
-             static_cast<unsigned long long>(row.ops_retried),
-             static_cast<unsigned long long>(row.hedges_won),
-             static_cast<unsigned long long>(row.pool_checkout_timeouts),
-             row.pool_checkout_wait_ms, row.pool_queue_depth,
-             static_cast<unsigned long long>(row.envelopes_sent),
-             static_cast<unsigned long long>(row.ops_batched),
+             ops_ok[r], ops_timed_out[r], ops_retried[r], hedges_won[r],
+             checkout_timeouts[r],
+             sim::ToMillis(static_cast<sim::Duration>(checkout_wait_ns[r])),
+             queue_depth[r], envelopes[r], ops_batched[r],
              row.served_age.count() > 0 ? row.served_age.mean() / 1000.0 : 0.0,
              row.served_age.max() / 1000.0,
-             row.balance_from, row.balance_to,
-             row.balance_decided
-                 ? std::string(obs::ToString(row.balance_reason)).c_str()
+             decision != nullptr ? decision->from_fraction : 0.0,
+             decision != nullptr ? decision->to_fraction : 0.0,
+             decision != nullptr
+                 ? std::string(obs::ToString(decision->reason)).c_str()
                  : "-",
-             row.slo_firing, row.slo_pending, row.slo_max_burn,
-             static_cast<unsigned long long>(row.slo_events));
+             slo_firing[r], slo_pending[r], slo_max_burn[r], slo_events[r]);
   }
   return true;
 }
@@ -170,14 +191,20 @@ bool WriteShardsCsv(const Experiment& experiment, const std::string& path) {
   CsvFile csv(path);
   if (!csv.ok()) return false;
   csv.Line(
-      "# units: start_s=seconds shard=index reads_routed=count "
+      "# units: start_s=seconds shard=index point_ops_routed=count "
       "balance_fraction=fraction");
-  csv.Line("start_s,shard,reads_routed,balance_fraction");
-  for (const PeriodRow& row : experiment.rows()) {
-    for (size_t s = 0; s < row.shard_balance_fraction.size(); ++s) {
-      csv.Line("%.1f,%zu,%llu,%.2f", sim::ToSeconds(row.start), s,
-               static_cast<unsigned long long>(row.shard_reads[s]),
-               row.shard_balance_fraction[s]);
+  csv.Line("start_s,shard,point_ops_routed,balance_fraction");
+  const int shards = experiment.sharded() ? experiment.config().shards : 0;
+  std::vector<std::vector<double>> routed;
+  for (int s = 0; s < shards; ++s) {
+    routed.push_back(PeriodValues(experiment, "routed_to_shard",
+                                  {{"shard", std::to_string(s)}}));
+  }
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const PeriodRow& row = experiment.rows()[r];
+    for (size_t s = 0; s < routed.size(); ++s) {
+      csv.Line("%.1f,%zu,%.0f,%.2f", sim::ToSeconds(row.start), s,
+               routed[s][r], row.shard_balance_fraction[s]);
     }
   }
   return true;

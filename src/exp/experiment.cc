@@ -71,7 +71,6 @@ Experiment::Experiment(ExperimentConfig config)
     cluster_ = std::make_unique<shard::ShardedCluster>(
         &loop_, rng_.Fork(), network_.get(), client_host, cluster_config);
     cluster_->SetTracer(&tracer_);
-    last_shard_reads_.assign(static_cast<size_t>(config_.shards), 0);
   } else {
     std::vector<net::HostId> node_hosts;
     const int nodes = config_.repl.secondaries + 1;
@@ -134,17 +133,10 @@ Experiment::Experiment(ExperimentConfig config)
   // so only a non-default selection touches them at all. ---
   if (config_.system == SystemType::kDecongestant &&
       !core::IsDefaultController(config_.controller)) {
-    if (sharded()) {
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        if (cluster_->balancer(s) == nullptr) continue;
-        auto controller = core::MakeController(config_.controller);
-        DCG_CHECK_MSG(controller != nullptr, "unknown controller strategy");
-        cluster_->balancer(s)->SetController(std::move(controller));
-      }
-    } else {
+    for (core::ReadBalancer* balancer : Balancers()) {
       auto controller = core::MakeController(config_.controller);
       DCG_CHECK_MSG(controller != nullptr, "unknown controller strategy");
-      balancer_->SetController(std::move(controller));
+      balancer->SetController(std::move(controller));
     }
   }
 
@@ -217,43 +209,30 @@ Experiment::Experiment(ExperimentConfig config)
       current_.s_staleness.Add(staleness_s * 1000.0);
       s_samples_.emplace_back(loop_.Now(), staleness_s);
     };
-    if (sharded()) {
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        std::function<bool()> secondary_in_use;
-        switch (config_.system) {
-          case SystemType::kDecongestant:
-            secondary_in_use = [this, s] {
-              return cluster_->shared_state(s).balance_fraction() > 0.0;
-            };
-            break;
-          case SystemType::kPrimary:
-            secondary_in_use = [] { return false; };
-            break;
-          case SystemType::kSecondary:
-            secondary_in_use = [] { return true; };
-            break;
-        }
-        shard_s_workloads_.push_back(std::make_unique<workload::SWorkload>(
-            &cluster_->router().shard_client(s), std::move(secondary_in_use),
-            config_.s_config, rng_.Fork(), on_sample));
-      }
-    } else {
-      std::function<bool()> secondary_in_use;
+    // Whether the system under test may route reads to a secondary that
+    // `state` governs.
+    const auto secondary_in_use =
+        [this](const core::SharedState* state) -> std::function<bool()> {
       switch (config_.system) {
         case SystemType::kDecongestant:
-          secondary_in_use = [this] {
-            return shared_state_.balance_fraction() > 0.0;
-          };
-          break;
+          return [state] { return state->balance_fraction() > 0.0; };
         case SystemType::kPrimary:
-          secondary_in_use = [] { return false; };
-          break;
+          return [] { return false; };
         case SystemType::kSecondary:
-          secondary_in_use = [] { return true; };
-          break;
+          return [] { return true; };
       }
+      return nullptr;
+    };
+    if (sharded()) {
+      for (int s = 0; s < cluster_->shard_count(); ++s) {
+        shard_s_workloads_.push_back(std::make_unique<workload::SWorkload>(
+            &cluster_->router().shard_client(s),
+            secondary_in_use(&cluster_->shared_state(s)), config_.s_config,
+            rng_.Fork(), on_sample));
+      }
+    } else {
       s_workload_ = std::make_unique<workload::SWorkload>(
-          client_.get(), std::move(secondary_in_use), config_.s_config,
+          client_.get(), secondary_in_use(&shared_state_), config_.s_config,
           rng_.Fork(), on_sample);
     }
   }
@@ -293,17 +272,13 @@ Experiment::Experiment(ExperimentConfig config)
     for (const obs::SloSpec& spec : config_.slos) {
       if (spec.kind == obs::SloKind::kFreshness && sharded()) {
         for (int s = 0; s < cluster_->shard_count(); ++s) {
-          obs::SloTracker& tracker = slo_->AddSlo(spec, s);
-          if (cluster_->balancer(s) != nullptr) {
-            tracker.SetSource([this, s] {
-              return static_cast<double>(
-                  cluster_->balancer(s)->staleness_estimate_seconds());
-            });
-          } else {
-            tracker.SetSource([this, s] {
+          slo_->AddSlo(spec, s).SetSource([this, s] {
+            const core::ReadBalancer* balancer = cluster_->balancer(s);
+            if (balancer == nullptr) {
               return sim::ToSeconds(cluster_->shard(s).MaxTrueStaleness());
-            });
-          }
+            }
+            return static_cast<double>(balancer->staleness_estimate_seconds());
+          });
         }
       } else {
         slo_->AddSlo(spec);
@@ -348,13 +323,6 @@ void Experiment::RegisterMetrics() {
             return static_cast<double>(cluster_->router().routed_to_shard(s));
           });
     }
-    registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
-      sim::Duration worst = 0;
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        worst = std::max(worst, cluster_->shard(s).MaxTrueStaleness());
-      }
-      return sim::ToSeconds(worst);
-    });
     registry_.RegisterCounter("router_stale_refreshes", "ops", {}, [this] {
       return static_cast<double>(cluster_->router().stale_refreshes());
     });
@@ -365,50 +333,58 @@ void Experiment::RegisterMetrics() {
     registry_.RegisterGauge("balance_fraction", "fraction", {}, [this] {
       return shared_state_.balance_fraction();
     });
-    registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
-      return sim::ToSeconds(rs_->MaxTrueStaleness());
-    });
   }
+  registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
+    return sim::ToSeconds(MaxTrueStaleness());
+  });
   if (balancer_ != nullptr) {
     registry_.RegisterGauge("staleness_estimate", "seconds", {}, [this] {
       return static_cast<double>(balancer_->staleness_estimate_seconds());
     });
+    // Decision-log length: each period's decisions are the entries this
+    // counter grew by (PeriodDecisions).
+    registry_.RegisterCounter("balancer_decisions", "decisions", {}, [this] {
+      return double(balancer_->decisions().size());
+    });
   }
 
-  // Per-op outcome counters (cumulative; consumers diff across samples).
-  const metrics::OpCounters& counters = client().op_counters();
-  registry_.RegisterCounter("ops_ok", "ops", {},
-                            [&counters] { return double(counters.ok); });
-  registry_.RegisterCounter("ops_timed_out", "ops", {}, [&counters] {
-    return double(counters.timed_out);
+  // Op counters (cumulative, like every counter; consumers diff across
+  // samples). The unprefixed outcome counts are workload ops as OnOp sees
+  // them; the driver's own counters also see S-workload probes.
+  using Ops = metrics::OpCounters;
+  struct OpCounterSeries {
+    const char* name;
+    const char* unit;
+    const Ops* source;
+    uint64_t Ops::*field;
+  };
+  const Ops* driver = &client().op_counters();
+  const OpCounterSeries op_counters[] = {
+      {"ops_ok", "ops", &workload_ops_, &Ops::ok},
+      {"ops_timed_out", "ops", &workload_ops_, &Ops::timed_out},
+      {"ops_retried", "ops", &workload_ops_, &Ops::retried},
+      {"hedges_won", "ops", &workload_ops_, &Ops::hedges_won},
+      {"driver_ops_ok", "ops", driver, &Ops::ok},
+      {"driver_ops_timed_out", "ops", driver, &Ops::timed_out},
+      {"driver_ops_retried", "ops", driver, &Ops::retried},
+      {"retries_total", "attempts", driver, &Ops::retries_total},
+      {"hedges_sent", "ops", driver, &Ops::hedges_sent},
+      {"driver_hedges_won", "ops", driver, &Ops::hedges_won},
+      {"pool_checkouts", "checkouts", driver, &Ops::checkouts},
+      {"pool_checkout_timeouts", "checkouts", driver, &Ops::checkout_timeouts},
+      {"envelopes_sent", "envelopes", driver, &Ops::envelopes_sent},
+      {"ops_batched", "ops", driver, &Ops::ops_batched},
+  };
+  for (const OpCounterSeries& c : op_counters) {
+    registry_.RegisterCounter(c.name, c.unit, {},
+                              [c] { return double(c.source->*c.field); });
+  }
+  // Integer nanoseconds, so per-period differences are exact.
+  registry_.RegisterCounter("pool_checkout_wait_ns", "ns", {}, [this] {
+    return double(client().PoolTotals().wait_total);
   });
-  registry_.RegisterCounter("ops_retried", "ops", {}, [&counters] {
-    return double(counters.retried);
-  });
-  registry_.RegisterCounter("retries_total", "attempts", {}, [&counters] {
-    return double(counters.retries_total);
-  });
-  registry_.RegisterCounter("hedges_sent", "ops", {}, [&counters] {
-    return double(counters.hedges_sent);
-  });
-  registry_.RegisterCounter("hedges_won", "ops", {}, [&counters] {
-    return double(counters.hedges_won);
-  });
-  registry_.RegisterCounter("pool_checkouts", "checkouts", {}, [&counters] {
-    return double(counters.checkouts);
-  });
-  registry_.RegisterCounter("pool_checkout_timeouts", "checkouts", {},
-                            [&counters] {
-                              return double(counters.checkout_timeouts);
-                            });
   registry_.RegisterGauge("pool_queue_depth", "checkouts", {},
                           [this] { return double(client().PoolQueueDepth()); });
-  registry_.RegisterCounter("envelopes_sent", "envelopes", {}, [&counters] {
-    return double(counters.envelopes_sent);
-  });
-  registry_.RegisterCounter("ops_batched", "ops", {}, [&counters] {
-    return double(counters.ops_batched);
-  });
   registry_.RegisterHistogram("batch_occupancy", "ops", {},
                               &client().batch_occupancy(), 1.0);
 
@@ -467,12 +443,12 @@ void Experiment::OnOp(const workload::OpOutcome& outcome) {
     }
   }
   if (outcome.ok) {
-    ++current_.ops_ok;
+    ++workload_ops_.ok;
   } else if (outcome.timed_out) {
-    ++current_.ops_timed_out;
+    ++workload_ops_.timed_out;
   }
-  if (outcome.retries > 0) ++current_.ops_retried;
-  if (outcome.hedge_won) ++current_.hedges_won;
+  if (outcome.retries > 0) ++workload_ops_.retried;
+  if (outcome.hedge_won) ++workload_ops_.hedges_won;
   if (!outcome.ok) {
     // A failed op has no latency or serving node worth recording; the
     // throughput columns count only completed operations.
@@ -493,36 +469,44 @@ void Experiment::OnOp(const workload::OpOutcome& outcome) {
   if (op_observer_) op_observer_(outcome);
 }
 
+sim::Duration Experiment::MaxTrueStaleness() const {
+  if (!sharded()) return rs_->MaxTrueStaleness();
+  sim::Duration worst = 0;
+  for (int s = 0; s < cluster_->shard_count(); ++s) {
+    worst = std::max(worst, cluster_->shard(s).MaxTrueStaleness());
+  }
+  return worst;
+}
+
+std::vector<core::ReadBalancer*> Experiment::Balancers() const {
+  if (!sharded()) {
+    if (balancer_ == nullptr) return {};
+    return {balancer_.get()};
+  }
+  std::vector<core::ReadBalancer*> all;
+  for (int s = 0; s < cluster_->shard_count(); ++s) {
+    if (cluster_->balancer(s) != nullptr) all.push_back(cluster_->balancer(s));
+  }
+  return all;
+}
+
+int64_t Experiment::StalenessEstimate() const {
+  int64_t worst = -1;
+  for (const core::ReadBalancer* balancer : Balancers()) {
+    worst = std::max(worst, balancer->staleness_estimate_seconds());
+  }
+  return worst;
+}
+
 void Experiment::SampleStaleness() {
   StalenessPoint point;
   point.at = loop_.Now();
-  if (sharded()) {
-    // Client-wide staleness is the worst shard — the quantity the shared
-    // StalenessBudget promises stays under the single StaleBound.
-    sim::Duration true_worst = 0;
-    int64_t est_worst = -1;
-    for (int s = 0; s < cluster_->shard_count(); ++s) {
-      true_worst = std::max(true_worst, cluster_->shard(s).MaxTrueStaleness());
-      if (cluster_->balancer(s) != nullptr) {
-        est_worst = std::max(
-            est_worst, cluster_->balancer(s)->staleness_estimate_seconds());
-      }
-    }
-    point.true_max_s = sim::ToSeconds(true_worst);
-    if (est_worst >= 0) {
-      point.estimate_s = static_cast<double>(est_worst);
-      current_.est_staleness_max_s =
-          std::max(current_.est_staleness_max_s, est_worst);
-    }
-  } else {
-    point.true_max_s = sim::ToSeconds(rs_->MaxTrueStaleness());
-    if (balancer_ != nullptr) {
-      point.estimate_s =
-          static_cast<double>(balancer_->staleness_estimate_seconds());
-      current_.est_staleness_max_s =
-          std::max(current_.est_staleness_max_s,
-                   balancer_->staleness_estimate_seconds());
-    }
+  point.true_max_s = sim::ToSeconds(MaxTrueStaleness());
+  const int64_t estimate = StalenessEstimate();
+  if (estimate >= 0) {
+    point.estimate_s = static_cast<double>(estimate);
+    current_.est_staleness_max_s =
+        std::max(current_.est_staleness_max_s, estimate);
   }
   staleness_series_.push_back(point);
   loop_.ScheduleAfter(sim::Seconds(1), [this] { SampleStaleness(); });
@@ -531,60 +515,20 @@ void Experiment::SampleStaleness() {
 void Experiment::ClosePeriod() {
   current_.end = loop_.Now();
   if (sharded()) {
-    // Per-shard columns plus the max fraction as the scalar rollup.
+    // Per-shard fractions plus the max as the scalar rollup.
     double max_fraction = 0.0;
     for (int s = 0; s < cluster_->shard_count(); ++s) {
       const double fraction = cluster_->shared_state(s).balance_fraction();
       max_fraction = std::max(max_fraction, fraction);
       current_.shard_balance_fraction.push_back(fraction);
-      const uint64_t routed = cluster_->router().routed_to_shard(s);
-      current_.shard_reads.push_back(routed -
-                                     last_shard_reads_[static_cast<size_t>(s)]);
-      last_shard_reads_[static_cast<size_t>(s)] = routed;
     }
     current_.balance_fraction = max_fraction;
   } else {
     current_.balance_fraction = shared_state_.balance_fraction();
   }
-  const driver::pool::ConnectionPool::Stats pool_now = client().PoolTotals();
-  current_.pool_checkout_timeouts =
-      pool_now.checkout_timeouts - last_pool_totals_.checkout_timeouts;
-  current_.pool_checkout_wait_ms =
-      sim::ToMillis(pool_now.wait_total - last_pool_totals_.wait_total);
-  current_.pool_queue_depth = client().PoolQueueDepth();
-  last_pool_totals_ = pool_now;
-  const metrics::OpCounters& ops_now = client().op_counters();
-  current_.envelopes_sent =
-      ops_now.envelopes_sent - last_op_counters_.envelopes_sent;
-  current_.ops_batched = ops_now.ops_batched - last_op_counters_.ops_batched;
-  last_op_counters_ = ops_now;
-  if (balancer_ != nullptr) {
-    // Fold this period's balancer decisions into the row: control ticks
-    // win over gate transitions (a gate event carries no fraction move).
-    const auto& entries = balancer_->decisions().entries();
-    bool tick_seen = false;
-    for (; decision_cursor_ < entries.size(); ++decision_cursor_) {
-      const obs::BalanceDecision& d = entries[decision_cursor_];
-      const bool gate = d.reason == obs::BalanceReason::kStaleGateZero ||
-                        d.reason == obs::BalanceReason::kStaleGateRelease;
-      if (gate && tick_seen) continue;
-      tick_seen = tick_seen || !gate;
-      current_.balance_decided = true;
-      current_.balance_from = d.from_fraction;
-      current_.balance_to = d.to_fraction;
-      current_.balance_reason = d.reason;
-    }
-  }
-  if (slo_ != nullptr) {
-    // Evaluate before the registry samples, so slo_sli/slo_burn gauges
-    // reflect this period.
-    slo_->Evaluate(loop_.Now());
-    current_.slo_firing = slo_->firing_count();
-    current_.slo_pending = slo_->pending_count();
-    current_.slo_max_burn = slo_->max_burn();
-    current_.slo_events = slo_->events().size() - slo_event_cursor_;
-    slo_event_cursor_ = slo_->events().size();
-  }
+  // Evaluate before the registry samples, so the SLO series reflect this
+  // period.
+  if (slo_ != nullptr) slo_->Evaluate(loop_.Now());
   registry_.Sample(loop_.Now());
   rows_.push_back(std::move(current_));
   current_ = PeriodRow{};
@@ -631,21 +575,18 @@ Summary Experiment::Summarize() const {
   metrics::Histogram served_age;
   sim::Duration measured = 0;
   uint64_t stock_level = 0;
+  uint64_t secondary_reads = 0;
   for (const PeriodRow& row : rows_) {
     if (row.start < config_.warmup) continue;
     measured += row.end - row.start;
     summary.total_reads += row.reads;
     summary.total_writes += row.writes;
     stock_level += row.stock_level;
+    secondary_reads += row.reads_secondary;
     read_latency.Merge(row.read_latency);
     sl_latency.Merge(row.stock_level_latency);
     staleness.Merge(row.s_staleness);
     served_age.Merge(row.served_age);
-  }
-  uint64_t secondary_reads = 0;
-  for (const PeriodRow& row : rows_) {
-    if (row.start < config_.warmup) continue;
-    secondary_reads += row.reads_secondary;
   }
   const double seconds = sim::ToSeconds(measured);
   if (seconds > 0) {
@@ -679,6 +620,50 @@ Summary Experiment::Summarize() const {
     }
   }
   return summary;
+}
+
+std::vector<double> PeriodValues(const Experiment& experiment,
+                                 std::string_view name,
+                                 const std::vector<obs::Label>& labels) {
+  // The registry samples once per period close, just before the row is
+  // pushed, so sample r belongs to row r.
+  std::vector<double> values(experiment.rows().size(), 0.0);
+  const obs::MetricsRegistry::ScalarSeries* series =
+      experiment.metrics_registry().FindSeries(name, labels);
+  if (series == nullptr) return values;
+  const bool counter = std::string_view(series->type) == "counter";
+  double previous = 0.0;
+  for (size_t r = 0; r < values.size() && r < series->samples.size(); ++r) {
+    const double sample = series->samples[r].second;
+    values[r] = counter ? sample - previous : sample;
+    previous = sample;
+  }
+  return values;
+}
+
+std::vector<const obs::BalanceDecision*> PeriodDecisions(
+    const Experiment& experiment) {
+  std::vector<const obs::BalanceDecision*> chosen(experiment.rows().size(),
+                                                  nullptr);
+  const obs::DecisionLog* log = experiment.balancer_decisions();
+  if (log == nullptr) return chosen;
+  const auto is_gate = [](const obs::BalanceDecision& d) {
+    return d.reason == obs::BalanceReason::kStaleGateZero ||
+           d.reason == obs::BalanceReason::kStaleGateRelease;
+  };
+  const std::vector<double> counts =
+      PeriodValues(experiment, "balancer_decisions");
+  size_t next = 0;
+  for (size_t r = 0; r < chosen.size(); ++r) {
+    const size_t end = next + static_cast<size_t>(counts[r]);
+    for (; next < end; ++next) {
+      const obs::BalanceDecision& d = log->entries()[next];
+      if (!is_gate(d) || chosen[r] == nullptr || is_gate(*chosen[r])) {
+        chosen[r] = &d;
+      }
+    }
+  }
+  return chosen;
 }
 
 }  // namespace dcg::exp

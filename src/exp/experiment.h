@@ -119,7 +119,10 @@ struct ExperimentConfig {
 };
 
 /// Per-report-period measurements — one row per 10 s, matching the time
-/// series the paper's figures plot.
+/// series the paper's figures plot. The run's operational counters (op
+/// outcomes, pool, batching, routing, balancer decisions, SLO state) are
+/// not copied here: the metrics registry samples them at every period
+/// close, and PeriodValues() turns those samples into per-row values.
 struct PeriodRow {
   sim::Time start = 0;
   sim::Time end = 0;
@@ -132,47 +135,16 @@ struct PeriodRow {
   metrics::Histogram s_staleness;   // seconds, S-workload samples
   int64_t est_staleness_max_s = 0;  // max serverStatus estimate in period
   double balance_fraction = 0.0;    // published fraction at period end
-  // Per-op outcome counters from the command layer (all op types).
-  uint64_t ops_ok = 0;         // ops that completed
-  uint64_t ops_timed_out = 0;  // ops that failed their client deadline
-  uint64_t ops_retried = 0;    // ops needing at least one retry
-  uint64_t hedges_won = 0;     // reads answered by the hedge request
-  // Connection-pool columns: per-period deltas of the client's pool
-  // totals, plus the wait-queue depth at period end (all zero with the
-  // default unconstrained pool).
-  uint64_t pool_checkout_timeouts = 0;
-  double pool_checkout_wait_ms = 0;  // total checkout wait this period
-  int pool_queue_depth = 0;          // queued checkouts at period end
-  // Command-batching columns: per-period deltas of the driver's envelope
-  // counters (both zero with batching off — the default).
-  uint64_t envelopes_sent = 0;  // coalesced batches put on the wire
-  uint64_t ops_batched = 0;     // attempts that rode an envelope
   // Served-read age of information: for every completed read, the true
   // staleness of the serving node when the read finished (0 for the
   // primary). Stored in milliseconds for sub-second resolution;
   // single-replica-set runs only (empty in sharded mode, where the
   // serving node sits behind the router).
   metrics::Histogram served_age;
-  // Balancer decision summary for the period (Decongestant only): the
-  // last control-tick move and its Algorithm 1 reason. balance_decided is
-  // false when no tick fell inside the period.
-  bool balance_decided = false;
-  double balance_from = 0.0;
-  double balance_to = 0.0;
-  obs::BalanceReason balance_reason = obs::BalanceReason::kNone;
   // Sharded runs only (empty otherwise): per-shard published fraction at
-  // period end and point ops the router dispatched to each shard this
-  // period. The scalar balance_fraction column holds the max across
+  // period end. The scalar balance_fraction column holds the max across
   // shards (the most-shedding shard).
   std::vector<double> shard_balance_fraction;
-  std::vector<uint64_t> shard_reads;
-  // SLO engine state at period close (all zero without --slo): alert
-  // rules firing/pending across every tracker, the worst long-window burn
-  // rate, and how many alert transitions the period produced.
-  int slo_firing = 0;
-  int slo_pending = 0;
-  double slo_max_burn = 0.0;
-  uint64_t slo_events = 0;
 
   double ReadThroughput() const;
   double SecondaryPercent() const;
@@ -260,9 +232,7 @@ class Experiment {
   }
   core::ReadBalancer* balancer() { return balancer_.get(); }
   core::SharedState& shared_state() { return shared_state_; }
-  workload::YcsbWorkload* ycsb() { return ycsb_; }
   workload::TpccWorkload* tpcc() { return tpcc_; }
-  workload::SWorkload* s_workload() { return s_workload_.get(); }
   fault::FaultInjector& fault_injector() { return *injector_; }
   ClientPool& pool() { return *pool_; }
   const ExperimentConfig& config() const { return config_; }
@@ -285,6 +255,15 @@ class Experiment {
   void ClosePeriod();
   void SampleStaleness();
   void RegisterMetrics();
+  /// Ground-truth staleness of the stalest secondary; in sharded mode the
+  /// worst shard's, the quantity the shared StalenessBudget bounds.
+  sim::Duration MaxTrueStaleness() const;
+  /// Every Read Balancer of the run: none for the fixed-preference
+  /// baselines, one per shard in sharded mode.
+  std::vector<core::ReadBalancer*> Balancers() const;
+  /// The balancers' staleness estimate (seconds; the worst shard's in
+  /// sharded mode), -1 when the run has no balancer.
+  int64_t StalenessEstimate() const;
 
   ExperimentConfig config_;
   sim::EventLoop loop_;
@@ -297,8 +276,6 @@ class Experiment {
   /// Sharded mode: one S workload per shard, each probing through that
   /// shard's sub-client (samples merge into the one client-wide series).
   std::vector<std::unique_ptr<workload::SWorkload>> shard_s_workloads_;
-  /// Router per-shard dispatch counters at the last period boundary.
-  std::vector<uint64_t> last_shard_reads_;
   core::SharedState shared_state_;
   std::unique_ptr<core::RoutingPolicy> policy_;
   std::unique_ptr<core::ReadBalancer> balancer_;
@@ -315,8 +292,6 @@ class Experiment {
   /// Built only when config.slos is non-empty; fed from OnOp, advanced in
   /// ClosePeriod.
   std::unique_ptr<obs::SloEngine> slo_;
-  /// First SLO event not yet folded into a PeriodRow.
-  size_t slo_event_cursor_ = 0;
   /// Cumulative read latency per requested Read Preference, fed from the
   /// driver's completion path; registered as histogram series.
   metrics::Histogram pref_read_latency_[5];
@@ -326,18 +301,32 @@ class Experiment {
   /// histogram series hold pointers into the vector.
   metrics::Histogram pref_served_age_[5];
   std::vector<metrics::Histogram> node_served_age_;
-  /// First balancer decision not yet folded into a PeriodRow.
-  size_t decision_cursor_ = 0;
 
   std::vector<PeriodRow> rows_;
   PeriodRow current_;
-  /// Pool totals at the last period boundary (for per-period deltas).
-  driver::pool::ConnectionPool::Stats last_pool_totals_;
-  /// Driver op counters at the last period boundary (same delta scheme).
-  metrics::OpCounters last_op_counters_;
+  /// Outcomes of completed workload ops (ok, timed_out, retried,
+  /// hedges_won), counted in OnOp and registered as ops_ok, ... — the
+  /// driver's own counters also see S-workload probes.
+  metrics::OpCounters workload_ops_;
   std::vector<StalenessPoint> staleness_series_;
   std::vector<std::pair<sim::Time, double>> s_samples_;
 };
+
+/// One value per period row of `experiment` from the registry series
+/// `name` with exactly `labels`: a gauge's sample at the row's close, or a
+/// counter's change over the row. All zero when the run registered no
+/// such series. Resolve once per export, not once per row.
+std::vector<double> PeriodValues(const Experiment& experiment,
+                                 std::string_view name,
+                                 const std::vector<obs::Label>& labels = {});
+
+/// Per period row, the balancer decision that summarises it: the last
+/// control tick inside the period, or the last staleness-gate transition
+/// when no tick fell inside it (a gate event carries no fraction move).
+/// Null for a period without decisions, and for every period of a run
+/// without a balancer.
+std::vector<const obs::BalanceDecision*> PeriodDecisions(
+    const Experiment& experiment);
 
 }  // namespace dcg::exp
 

@@ -52,6 +52,24 @@ std::vector<obs::ReportLane> BuildAlertLanes(const obs::SloEngine* engine,
     return std::string(e.slo) + "|" + std::string(obs::ToString(e.severity)) +
            "|" + std::to_string(e.shard);
   };
+  // Ends the band open for `e`'s alert at `t1`, if there is one. The label
+  // ends in `suffix`, or by default in how the alert ended.
+  auto close_band = [&](const obs::SloEvent& e, double t1,
+                        const char* suffix) {
+    auto it = open.find(key(e));
+    if (it == open.end()) return;
+    const std::string severity(obs::ToString(e.severity));
+    if (suffix == nullptr) {
+      suffix = it->second.firing ? " fired" : " pending (cancelled)";
+    }
+    obs::ReportBand band;
+    band.t0 = it->second.at;
+    band.t1 = t1;
+    band.severity = it->second.firing ? severity : "pending";
+    band.label = std::string(e.slo) + " " + severity + suffix;
+    lane_for(e).bands.push_back(std::move(band));
+    open.erase(it);
+  };
   for (const obs::SloEvent& e : engine->events()) {
     const double t = sim::ToSeconds(e.at);
     switch (e.transition) {
@@ -62,38 +80,14 @@ std::vector<obs::ReportLane> BuildAlertLanes(const obs::SloEngine* engine,
         open[key(e)].firing = true;
         break;
       case obs::SloTransition::kCancelled:
-      case obs::SloTransition::kResolved: {
-        auto it = open.find(key(e));
-        if (it == open.end()) break;
-        obs::ReportBand band;
-        band.t0 = it->second.at;
-        band.t1 = t;
-        band.severity = it->second.firing
-                            ? std::string(obs::ToString(e.severity))
-                            : "pending";
-        band.label = std::string(e.slo) + " " +
-                     std::string(obs::ToString(e.severity)) +
-                     (it->second.firing ? " fired" : " pending (cancelled)");
-        lane_for(e).bands.push_back(std::move(band));
-        open.erase(it);
+      case obs::SloTransition::kResolved:
+        close_band(e, t, nullptr);
         break;
-      }
     }
   }
   // Still-open alerts extend to the end of the run.
   for (const obs::SloEvent& e : engine->events()) {
-    auto it = open.find(key(e));
-    if (it == open.end()) continue;
-    obs::ReportBand band;
-    band.t0 = it->second.at;
-    band.t1 = run_end;
-    band.severity = it->second.firing
-                        ? std::string(obs::ToString(e.severity))
-                        : "pending";
-    band.label = std::string(e.slo) + " " +
-                 std::string(obs::ToString(e.severity)) + " (open at end)";
-    lane_for(e).bands.push_back(std::move(band));
-    open.erase(it);
+    close_band(e, run_end, " (open at end)");
   }
   return lanes;
 }
@@ -181,14 +175,10 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     panel.title = "Balance fraction";
     panel.unit = "fraction";
     if (experiment.sharded()) {
-      const size_t shards = static_cast<size_t>(config.shards);
-      for (size_t s = 0; s < shards; ++s) {
+      for (int s = 0; s < config.shards; ++s) {
         obs::ReportSeries series{"shard " + std::to_string(s), {}};
         for (const PeriodRow& row : rows) {
-          if (s < row.shard_balance_fraction.size()) {
-            series.points.push_back(
-                {RowMid(row), row.shard_balance_fraction[s]});
-          }
+          series.points.push_back({RowMid(row), row.shard_balance_fraction[s]});
         }
         panel.series.push_back(std::move(series));
       }
@@ -241,19 +231,18 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     data.panels.push_back(std::move(panel));
   }
 
-  // Panel: per-shard routed reads (sharded only).
+  // Panel: point ops routed to each shard (sharded only).
   if (experiment.sharded()) {
     obs::ReportPanel panel;
-    panel.title = "Reads routed per shard";
+    panel.title = "Point ops routed per shard";
     panel.unit = "ops/period";
-    const size_t shards = static_cast<size_t>(config.shards);
-    for (size_t s = 0; s < shards; ++s) {
-      obs::ReportSeries series{"shard " + std::to_string(s), {}};
-      for (const PeriodRow& row : rows) {
-        if (s < row.shard_reads.size()) {
-          series.points.push_back(
-              {RowMid(row), static_cast<double>(row.shard_reads[s])});
-        }
+    for (int s = 0; s < config.shards; ++s) {
+      const std::string shard = std::to_string(s);
+      const std::vector<double> routed =
+          PeriodValues(experiment, "routed_to_shard", {{"shard", shard}});
+      obs::ReportSeries series{"shard " + shard, {}};
+      for (size_t r = 0; r < rows.size(); ++r) {
+        series.points.push_back({RowMid(rows[r]), routed[r]});
       }
       panel.series.push_back(std::move(series));
     }
@@ -266,8 +255,10 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     panel.title = "SLO max burn rate";
     panel.unit = "x budget";
     obs::ReportSeries burn{"max burn", {}};
-    for (const PeriodRow& row : rows) {
-      burn.points.push_back({RowMid(row), row.slo_max_burn});
+    const std::vector<double> max_burn =
+        PeriodValues(experiment, "slo_max_burn");
+    for (size_t r = 0; r < rows.size(); ++r) {
+      burn.points.push_back({RowMid(rows[r]), max_burn[r]});
     }
     panel.series.push_back(std::move(burn));
     data.panels.push_back(std::move(panel));

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dcg::obs {
@@ -38,6 +39,14 @@ void MetricsRegistry::Sample(sim::Time now) {
     series.samples.push_back(sample);
   }
   ++samples_taken_;
+}
+
+const MetricsRegistry::ScalarSeries* MetricsRegistry::FindSeries(
+    std::string_view name, const std::vector<Label>& labels) const {
+  for (const ScalarSeries& series : scalars_) {
+    if (series.name == name && series.labels == labels) return &series;
+  }
+  return nullptr;
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
@@ -196,6 +205,25 @@ std::string RenderLabelSet(const std::vector<Label>& labels,
   return out;
 }
 
+// Groups series into metric families, in first-registration order: every
+// labeled series with the same name (and unit) shares one
+// # TYPE/# UNIT/# HELP block, whose type and unit come from its first
+// series.
+template <typename Series>
+std::vector<std::pair<std::string, std::vector<const Series*>>> Families(
+    const std::vector<Series>& all) {
+  std::vector<std::pair<std::string, std::vector<const Series*>>> families;
+  std::map<std::string, size_t> index;
+  for (const Series& series : all) {
+    const std::string family =
+        FamilyName(series.name, SanitizeUnit(series.unit));
+    auto [it, inserted] = index.try_emplace(family, families.size());
+    if (inserted) families.emplace_back(family, std::vector<const Series*>());
+    families[it->second].second.push_back(&series);
+  }
+  return families;
+}
+
 std::string CsvLabels(const std::vector<Label>& labels) {
   std::string out;
   for (const Label& label : labels) {
@@ -211,38 +239,20 @@ bool MetricsRegistry::WriteOpenMetrics(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
 
-  // Group series into metric families: every labeled series with the same
-  // name shares one # TYPE/# UNIT/# HELP block.
-  struct ScalarFamily {
-    const char* type;
-    std::string unit;
-    std::vector<const ScalarSeries*> series;
-  };
-  std::vector<std::string> scalar_order;
-  std::map<std::string, ScalarFamily> scalar_families;
-  for (const ScalarSeries& series : scalars_) {
-    const std::string family = FamilyName(series.name, SanitizeUnit(series.unit));
-    auto [it, inserted] = scalar_families.try_emplace(family);
-    if (inserted) {
-      scalar_order.push_back(family);
-      it->second.type = series.type;
-      it->second.unit = SanitizeUnit(series.unit);
-    }
-    it->second.series.push_back(&series);
-  }
-  for (const std::string& family : scalar_order) {
-    const ScalarFamily& group = scalar_families.at(family);
-    const bool counter = std::string(group.type) == "counter";
+  for (const auto& [family, group] : Families(scalars_)) {
+    const char* type = group.front()->type;
+    const std::string unit = SanitizeUnit(group.front()->unit);
+    const bool counter = std::string(type) == "counter";
     std::fprintf(f, "# TYPE %s %s\n", family.c_str(),
                  counter ? "counter" : "gauge");
-    if (!group.unit.empty()) {
-      std::fprintf(f, "# UNIT %s %s\n", family.c_str(), group.unit.c_str());
+    if (!unit.empty()) {
+      std::fprintf(f, "# UNIT %s %s\n", family.c_str(), unit.c_str());
     }
     std::fprintf(f, "# HELP %s %s\n", family.c_str(),
-                 EscapeHelp("Sampled " + std::string(group.type) +
+                 EscapeHelp("Sampled " + std::string(type) +
                             " series from the run's metrics registry.")
                      .c_str());
-    for (const ScalarSeries* series : group.series) {
+    for (const ScalarSeries* series : group) {
       const std::string labels = RenderLabelSet(series->labels);
       const std::string sample_name = counter ? family + "_total" : family;
       for (const auto& [at, value] : series->samples) {
@@ -252,26 +262,14 @@ bool MetricsRegistry::WriteOpenMetrics(const std::string& path) const {
     }
   }
 
-  struct HistogramFamily {
-    std::string unit;
-    std::vector<const HistogramSeries*> series;
-  };
-  std::vector<std::string> histogram_order;
-  std::map<std::string, HistogramFamily> histogram_families;
-  for (const HistogramSeries& series : histograms_) {
-    const std::string family = FamilyName(series.name, SanitizeUnit(series.unit));
-    auto [it, inserted] = histogram_families.try_emplace(family);
-    if (inserted) {
-      histogram_order.push_back(family);
-      it->second.unit = SanitizeUnit(series.unit);
-    }
-    it->second.series.push_back(&series);
-  }
-  for (const std::string& family : histogram_order) {
-    const HistogramFamily& group = histogram_families.at(family);
+  for (const auto& entry : Families(histograms_)) {
+    // Not a structured binding: the quantile lambda below captures it.
+    const std::string& family = entry.first;
+    const std::vector<const HistogramSeries*>& group = entry.second;
+    const std::string unit = SanitizeUnit(group.front()->unit);
     std::fprintf(f, "# TYPE %s summary\n", family.c_str());
-    if (!group.unit.empty()) {
-      std::fprintf(f, "# UNIT %s %s\n", family.c_str(), group.unit.c_str());
+    if (!unit.empty()) {
+      std::fprintf(f, "# UNIT %s %s\n", family.c_str(), unit.c_str());
     }
     std::fprintf(
         f, "# HELP %s %s\n", family.c_str(),
@@ -279,7 +277,7 @@ bool MetricsRegistry::WriteOpenMetrics(const std::string& path) const {
             "Cumulative distribution snapshots from the run's metrics "
             "registry.")
             .c_str());
-    for (const HistogramSeries* series : group.series) {
+    for (const HistogramSeries* series : group) {
       for (const HistogramSample& s : series->samples) {
         const double t = sim::ToSeconds(s.at);
         const auto quantile = [&](const char* q, double value) {

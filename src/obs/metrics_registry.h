@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,21 @@ class MetricsRegistry {
   /// period).
   void Sample(sim::Time now);
 
+  /// A registered counter or gauge with every sample taken so far.
+  struct ScalarSeries {
+    std::string name;
+    const char* type;  // "counter" | "gauge"
+    std::string unit;
+    std::vector<Label> labels;
+    std::function<double()> source;
+    std::vector<std::pair<sim::Time, double>> samples;
+  };
+
+  /// The counter or gauge registered under `name` with exactly `labels`;
+  /// null when there is none.
+  const ScalarSeries* FindSeries(std::string_view name,
+                                 const std::vector<Label>& labels = {}) const;
+
   size_t series_count() const { return scalars_.size() + histograms_.size(); }
   size_t samples_taken() const { return samples_taken_; }
 
@@ -78,15 +94,6 @@ class MetricsRegistry {
   bool WriteCsv(const std::string& path) const;
 
  private:
-  struct ScalarSeries {
-    std::string name;
-    const char* type;  // "counter" | "gauge"
-    std::string unit;
-    std::vector<Label> labels;
-    std::function<double()> source;
-    std::vector<std::pair<sim::Time, double>> samples;
-  };
-
   struct HistogramSample {
     sim::Time at = 0;
     uint64_t count = 0;

@@ -142,6 +142,10 @@ void SloTracker::Evaluate(sim::Time now, std::vector<SloEvent>* events) {
     const BurnRule& rule = spec_.rules[i];
     RuleState& rs = rule_states_[i];
     const WindowStats long_stats = WindowSums(rule.long_window);
+    const uint64_t total = long_stats.good + long_stats.bad;
+    const double sli = total == 0 ? 1.0
+                                  : static_cast<double>(long_stats.good) /
+                                        static_cast<double>(total);
     const double burn_long = BurnRate(rule.long_window);
     const double burn_short = BurnRate(rule.short_window);
     const bool condition =
@@ -149,10 +153,7 @@ void SloTracker::Evaluate(sim::Time now, std::vector<SloEvent>* events) {
     last_burn_ = std::max(last_burn_, burn_long);
     if (rule.long_window > longest) {
       longest = rule.long_window;
-      const uint64_t total = long_stats.good + long_stats.bad;
-      last_sli_ = total == 0 ? 1.0
-                             : static_cast<double>(long_stats.good) /
-                                   static_cast<double>(total);
+      last_sli_ = sli;
     }
 
     auto emit = [&](SloTransition transition) {
@@ -165,10 +166,7 @@ void SloTracker::Evaluate(sim::Time now, std::vector<SloEvent>* events) {
       event.transition = transition;
       event.burn_long = burn_long;
       event.burn_short = burn_short;
-      const uint64_t total = long_stats.good + long_stats.bad;
-      event.sli = total == 0 ? 1.0
-                             : static_cast<double>(long_stats.good) /
-                                   static_cast<double>(total);
+      event.sli = sli;
       event.good = long_stats.good;
       event.bad = long_stats.bad;
       events->push_back(std::move(event));
@@ -271,26 +269,24 @@ void SloEngine::RegisterMetrics(MetricsRegistry* registry) const {
   }
   registry->RegisterGauge("slo_alerts_firing", "alerts", {},
                           [this] { return static_cast<double>(firing_count()); });
+  registry->RegisterGauge("slo_alerts_pending", "alerts", {}, [this] {
+    return static_cast<double>(pending_count());
+  });
+  registry->RegisterGauge("slo_max_burn", "ratio", {},
+                          [this] { return max_burn(); });
+  registry->RegisterCounter("slo_events", "events", {}, [this] {
+    return static_cast<double>(events_.size());
+  });
 }
 
-int SloEngine::firing_count() const {
-  int firing = 0;
+int SloEngine::CountInState(AlertState state) const {
+  int count = 0;
   for (const auto& tracker : trackers_) {
     for (size_t i = 0; i < tracker->rule_count(); ++i) {
-      if (tracker->state(i) == AlertState::kFiring) ++firing;
+      if (tracker->state(i) == state) ++count;
     }
   }
-  return firing;
-}
-
-int SloEngine::pending_count() const {
-  int pending = 0;
-  for (const auto& tracker : trackers_) {
-    for (size_t i = 0; i < tracker->rule_count(); ++i) {
-      if (tracker->state(i) == AlertState::kPending) ++pending;
-    }
-  }
-  return pending;
+  return count;
 }
 
 double SloEngine::max_burn() const {

@@ -260,8 +260,9 @@ class SloEngine {
   /// Evaluates every tracker at `now` (call once per control period).
   void Evaluate(sim::Time now);
 
-  /// Registers slo_sli / slo_burn gauges (per tracker) and the firing
-  /// count with the run's metrics registry.
+  /// Registers slo_sli / slo_burn gauges (per tracker), the firing and
+  /// pending alert counts, the worst burn rate and the alert-event count
+  /// with the run's metrics registry.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   const std::vector<SloEvent>& events() const { return events_; }
@@ -271,12 +272,14 @@ class SloEngine {
   uint64_t evaluations() const { return evaluations_; }
 
   /// Alert counts across all trackers at the last evaluation.
-  int firing_count() const;
-  int pending_count() const;
+  int firing_count() const { return CountInState(AlertState::kFiring); }
+  int pending_count() const { return CountInState(AlertState::kPending); }
   /// Worst long-window burn rate across trackers at the last evaluation.
   double max_burn() const;
 
  private:
+  int CountInState(AlertState state) const;
+
   sim::Duration eval_period_;
   std::vector<std::unique_ptr<SloTracker>> trackers_;
   std::vector<SloEvent> events_;

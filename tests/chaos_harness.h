@@ -448,7 +448,19 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   // --- Deterministic trace. ---
   std::string trace;
   char line[256];
-  for (const auto& row : experiment.rows()) {
+  const std::vector<double> ops_ok = exp::PeriodValues(experiment, "ops_ok");
+  const std::vector<double> ops_timed_out =
+      exp::PeriodValues(experiment, "ops_timed_out");
+  const std::vector<double> ops_retried =
+      exp::PeriodValues(experiment, "ops_retried");
+  const std::vector<double> hedges_won =
+      exp::PeriodValues(experiment, "hedges_won");
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const exp::PeriodRow& row = experiment.rows()[r];
+    const auto ok = static_cast<unsigned long long>(ops_ok[r]);
+    const auto timed_out = static_cast<unsigned long long>(ops_timed_out[r]);
+    const auto retried = static_cast<unsigned long long>(ops_retried[r]);
+    const auto hedged = static_cast<unsigned long long>(hedges_won[r]);
     std::snprintf(line, sizeof(line),
                   "t=%.0f reads=%llu sec=%llu writes=%llu frac=%.4f "
                   "est=%lld ok=%llu to=%llu retry=%llu hw=%llu\n",
@@ -458,16 +470,13 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
                   static_cast<unsigned long long>(row.writes),
                   row.balance_fraction,
                   static_cast<long long>(row.est_staleness_max_s),
-                  static_cast<unsigned long long>(row.ops_ok),
-                  static_cast<unsigned long long>(row.ops_timed_out),
-                  static_cast<unsigned long long>(row.ops_retried),
-                  static_cast<unsigned long long>(row.hedges_won));
+                  ok, timed_out, retried, hedged);
     trace += line;
     report.total_reads += row.reads;
-    report.ops_ok += row.ops_ok;
-    report.ops_timed_out += row.ops_timed_out;
-    report.ops_retried += row.ops_retried;
-    report.hedges_won += row.hedges_won;
+    report.ops_ok += ok;
+    report.ops_timed_out += timed_out;
+    report.ops_retried += retried;
+    report.hedges_won += hedged;
   }
   for (const std::string& entry : experiment.fault_injector().log()) {
     trace += entry + "\n";

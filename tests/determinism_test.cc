@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "exp/csv_export.h"
 #include "exp/experiment.h"
 #include "fault/fault_injector.h"
+#include "obs/slo.h"
 #include "shard/sharded_cluster.h"
 
 namespace dcg {
@@ -236,14 +241,20 @@ std::string ShardedRunTrace(const exp::ExperimentConfig& config) {
   exp::Experiment experiment(config);
   experiment.Run();
 
+  std::vector<std::vector<double>> routed;
+  for (int s = 0; s < config.shards; ++s) {
+    routed.push_back(exp::PeriodValues(experiment, "routed_to_shard",
+                                       {{"shard", std::to_string(s)}}));
+  }
   std::ostringstream trace;
-  for (const auto& row : experiment.rows()) {
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const exp::PeriodRow& row = experiment.rows()[r];
     trace << row.start << ' ' << row.end << ' ' << row.reads << ' '
           << row.reads_secondary << ' ' << row.writes << ' '
           << row.balance_fraction << ' ' << row.est_staleness_max_s << ' '
           << row.read_latency.count() << ' ' << row.read_latency.max();
     for (size_t s = 0; s < row.shard_balance_fraction.size(); ++s) {
-      trace << ' ' << row.shard_reads[s] << ' '
+      trace << ' ' << static_cast<uint64_t>(routed[s][r]) << ' '
             << row.shard_balance_fraction[s];
     }
     trace << '\n';
@@ -308,6 +319,140 @@ TEST(DeterminismTest, TpccSameSeedSameTrace) {
   const std::string second = RunTrace(config);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// --- export goldens ---------------------------------------------------------
+//
+// The periods, decisions and shards CSVs are what the paper's figures are
+// plotted from. Same-seed comparisons cannot catch a change to the export
+// path that moves every run the same way, so these pin the exact bytes the
+// exporters write for five seeded configurations. The shards CSV is pinned
+// by its data lines only (everything below the units and header lines).
+
+using CsvWriter = bool (*)(const exp::Experiment&, const std::string&);
+
+// The bytes `write` produces for `experiment`, minus the first `skip`
+// lines.
+std::string ExportBytes(CsvWriter write, const exp::Experiment& experiment,
+                        int skip = 0) {
+  const std::string path = ::testing::TempDir() + "dcg_export_golden.csv";
+  EXPECT_TRUE(write(experiment, path));
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  for (int i = 0; i < skip && std::getline(in, line);) ++i;
+  std::ostringstream rest;
+  rest << in.rdbuf();
+  std::remove(path.c_str());
+  return rest.str();
+}
+
+struct ExportGolden {
+  uint64_t periods;
+  uint64_t decisions;
+  uint64_t shard_lines;
+};
+
+void ExpectExportGolden(const exp::ExperimentConfig& config,
+                        const ExportGolden& golden) {
+  exp::Experiment experiment(config);
+  experiment.Run();
+  const ExportGolden got{
+      TraceHash(ExportBytes(&exp::WritePeriodsCsv, experiment)),
+      TraceHash(ExportBytes(&exp::WriteDecisionsCsv, experiment)),
+      TraceHash(ExportBytes(&exp::WriteShardsCsv, experiment, 2))};
+  std::cout << "export hashes: {" << got.periods << "ull, " << got.decisions
+            << "ull, " << got.shard_lines << "ull}\n";
+  EXPECT_EQ(got.periods, golden.periods);
+  EXPECT_EQ(got.decisions, golden.decisions);
+  EXPECT_EQ(got.shard_lines, golden.shard_lines);
+}
+
+// Constrained pool, deadlines, batching and hedged reads under a partition
+// and a pool clear: the retry, pool and batching columns all move.
+exp::ExperimentConfig StressConfig() {
+  exp::ExperimentConfig config = SmallConfig(42);
+  config.client_options.pool.max_pool_size = 2;
+  config.client_options.pool.wait_queue_timeout = sim::Millis(20);
+  config.client_options.default_op_deadline = sim::Millis(300);
+  config.client_options.batching_enabled = true;
+  config.client_options.batch_max_ops = 8;
+  config.client_options.hedged_reads = true;
+  std::string error;
+  EXPECT_TRUE(fault::ParseFaultSpec(
+      "partition@20-35:nodes=1;pool_clear@40:nodes=0+1+2", &config.faults,
+      &error))
+      << error;
+  return config;
+}
+
+TEST(DeterminismTest, HealthyExportsMatchGolden) {
+  ExpectExportGolden(SmallConfig(42),
+                     {10899095463416483619ull, 14623767141849120060ull,
+                      1469598103934665603ull});
+}
+
+TEST(DeterminismTest, TpccExportsMatchGolden) {
+  auto config = SmallConfig(7);
+  config.kind = exp::WorkloadKind::kTpcc;
+  config.tpcc.warehouses = 2;
+  ExpectExportGolden(config, {18134518409747960654ull, 6650360371269357539ull,
+                              1469598103934665603ull});
+}
+
+TEST(DeterminismTest, StressExportsMatchGolden) {
+  ExpectExportGolden(StressConfig(),
+                     {2610882298653802219ull, 3741407687205272898ull,
+                      1469598103934665603ull});
+}
+
+TEST(DeterminismTest, SloExportsMatchGolden) {
+  auto config = SmallConfig(42);
+  obs::SloDefaults defaults;
+  defaults.stale_bound_seconds = config.balancer.stale_bound_seconds;
+  std::string error;
+  ASSERT_TRUE(obs::ParseSloSpecs("default", defaults, &config.slos, &error))
+      << error;
+  ExpectExportGolden(config, {7819645999485543959ull, 14623767141849120060ull,
+                              1469598103934665603ull});
+}
+
+TEST(DeterminismTest, ShardedExportsMatchGolden) {
+  ExpectExportGolden(ShardedSmallConfig(42),
+                     {14085844805986406695ull, 1575315172244667054ull,
+                      6489754506481178694ull});
+}
+
+// One name, one meaning: every periods-CSV counter column that shares its
+// name with a registry counter must sum to that counter's final sample.
+TEST(DeterminismTest, StressPeriodsCsvCountersSumToRegistryTotals) {
+  exp::Experiment experiment(StressConfig());
+  experiment.Run();
+  std::istringstream csv(ExportBytes(&exp::WritePeriodsCsv, experiment, 1));
+  std::vector<std::vector<std::string>> table;  // header, then data rows
+  for (std::string line; std::getline(csv, line);) {
+    table.emplace_back();
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+      table.back().push_back(cell);
+    }
+  }
+  ASSERT_GT(table.size(), 1u);
+  const std::vector<std::string>& header = table.front();
+  std::vector<std::string> checked;
+  for (size_t c = 0; c < header.size(); ++c) {
+    const obs::MetricsRegistry::ScalarSeries* series =
+        experiment.metrics_registry().FindSeries(header[c]);
+    if (series == nullptr || std::string(series->type) != "counter") continue;
+    double sum = 0;
+    for (size_t r = 1; r < table.size(); ++r) sum += std::stod(table[r].at(c));
+    ASSERT_FALSE(series->samples.empty());
+    EXPECT_EQ(sum, series->samples.back().second) << header[c];
+    checked.push_back(header[c]);
+  }
+  EXPECT_EQ(checked, (std::vector<std::string>{
+                         "ops_ok", "ops_timed_out", "ops_retried",
+                         "hedges_won", "pool_checkout_timeouts",
+                         "envelopes_sent", "ops_batched"}));
 }
 
 }  // namespace

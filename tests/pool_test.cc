@@ -258,9 +258,16 @@ std::string PooledRunTrace(uint64_t seed) {
   exp::Experiment experiment(config);
   experiment.Run();
 
+  const std::vector<double> timeouts =
+      exp::PeriodValues(experiment, "pool_checkout_timeouts");
+  const std::vector<double> wait_ns =
+      exp::PeriodValues(experiment, "pool_checkout_wait_ns");
+  const std::vector<double> queue_depth =
+      exp::PeriodValues(experiment, "pool_queue_depth");
   std::string trace;
   char line[192];
-  for (const auto& row : experiment.rows()) {
+  for (size_t r = 0; r < experiment.rows().size(); ++r) {
+    const exp::PeriodRow& row = experiment.rows()[r];
     std::snprintf(line, sizeof(line),
                   "t=%.0f reads=%llu sec=%llu writes=%llu poolto=%llu "
                   "wait=%.3f q=%d\n",
@@ -268,8 +275,9 @@ std::string PooledRunTrace(uint64_t seed) {
                   static_cast<unsigned long long>(row.reads),
                   static_cast<unsigned long long>(row.reads_secondary),
                   static_cast<unsigned long long>(row.writes),
-                  static_cast<unsigned long long>(row.pool_checkout_timeouts),
-                  row.pool_checkout_wait_ms, row.pool_queue_depth);
+                  static_cast<unsigned long long>(timeouts[r]),
+                  sim::ToMillis(static_cast<sim::Duration>(wait_ns[r])),
+                  static_cast<int>(queue_depth[r]));
     trace += line;
   }
   const ConnectionPool::Stats totals = experiment.client().PoolTotals();
